@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures (one bench per
-// artifact; see DESIGN.md's experiment index) plus ablations of the design
-// choices DESIGN.md calls out. Run with:
+// artifact, named after it) plus ablations of the design choices the README
+// describes. DB-LSH runs as a single-shard set, the code path the library
+// serves queries through. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -28,6 +29,7 @@ import (
 	"dblsh/internal/lsh"
 	"dblsh/internal/mathx"
 	"dblsh/internal/rstar"
+	"dblsh/internal/shard"
 	"dblsh/internal/vec"
 )
 
@@ -87,9 +89,7 @@ func benchQueries(b *testing.B, search harness.SearchFunc) {
 
 func BenchmarkTable4QueryDBLSH(b *testing.B) {
 	p := benchParams()
-	idx := core.Build(benchDS().Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
-	s := idx.NewSearcher()
-	benchQueries(b, func(q []float32, k int) []vec.Neighbor { return s.KANN(q, k) })
+	benchQueries(b, harness.DBLSH(benchDS().Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed}))
 }
 
 func BenchmarkTable4QueryFBLSH(b *testing.B) {
@@ -136,7 +136,8 @@ func BenchmarkTable4IndexingDBLSH(b *testing.B) {
 	ds := benchDS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.Build(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
+		_ = shard.Build(ds.Data.Data(), ds.Data.Rows(), ds.Data.Dim(), 1, 0,
+			core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 	}
 }
 
@@ -172,11 +173,10 @@ func BenchmarkFig5QueryTimeVsN(b *testing.B) {
 		frac := frac
 		b.Run(benchProfile.Scaled(frac).Name, func(b *testing.B) {
 			ds := dataset.Generate(benchProfile.Scaled(frac))
-			idx := core.Build(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
-			s := idx.NewSearcher()
+			search := harness.DBLSH(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+				search(ds.Queries.Row(i%ds.Queries.Rows()), 50)
 			}
 		})
 	}
@@ -187,13 +187,12 @@ func BenchmarkFig5QueryTimeVsN(b *testing.B) {
 func BenchmarkFig8VaryK(b *testing.B) {
 	p := benchParams()
 	ds := benchDS()
-	idx := core.Build(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
+	search := harness.DBLSH(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 	for _, k := range []int{1, 20, 50, 100} {
 		k := k
 		b.Run(benchName("k", k), func(b *testing.B) {
-			s := idx.NewSearcher()
 			for i := 0; i < b.N; i++ {
-				s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), k)
+				search(ds.Queries.Row(i%ds.Queries.Rows()), k)
 			}
 		})
 	}
@@ -206,11 +205,10 @@ func BenchmarkFig9TradeoffC(b *testing.B) {
 	for _, c := range []float64{1.2, 1.5, 2.0, 3.0} {
 		c := c
 		b.Run(benchName("c10x", int(c*10)), func(b *testing.B) {
-			idx := core.Build(ds.Data, core.Config{C: c, W0: 4 * c * c, K: 10, L: 5, T: 100, Seed: 13})
-			s := idx.NewSearcher()
+			search := harness.DBLSH(ds.Data, core.Config{C: c, W0: 4 * c * c, K: 10, L: 5, T: 100, Seed: 13})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+				search(ds.Queries.Row(i%ds.Queries.Rows()), 50)
 			}
 		})
 	}
@@ -231,7 +229,7 @@ func BenchmarkTable1Exponents(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md "Design choices") ------------------------------------
+// --- Ablations of the design choices ------------------------------------------
 
 // Dynamic query-centric buckets (DB-LSH) vs fixed grid buckets (FB-LSH) at
 // identical K, L, t — the paper's Section VI-B1 comparison.
@@ -239,11 +237,10 @@ func BenchmarkAblationBucketing(b *testing.B) {
 	p := benchParams()
 	ds := benchDS()
 	b.Run("dynamic", func(b *testing.B) {
-		idx := core.Build(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
-		s := idx.NewSearcher()
+		search := harness.DBLSH(ds.Data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+			search(ds.Queries.Row(i%ds.Queries.Rows()), 50)
 		}
 	})
 	b.Run("fixed", func(b *testing.B) {
@@ -291,11 +288,10 @@ func BenchmarkAblationT(b *testing.B) {
 	for _, t := range []int{10, 100, 400} {
 		t := t
 		b.Run(benchName("t", t), func(b *testing.B) {
-			idx := core.Build(ds.Data, core.Config{C: 1.5, K: 10, L: 5, T: t, Seed: 13})
-			s := idx.NewSearcher()
+			search := harness.DBLSH(ds.Data, core.Config{C: 1.5, K: 10, L: 5, T: t, Seed: 13})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+				search(ds.Queries.Row(i%ds.Queries.Rows()), 50)
 			}
 		})
 	}
@@ -308,11 +304,10 @@ func BenchmarkAblationW0(b *testing.B) {
 	for _, gamma := range []float64{0.5, 1, 2, 3} {
 		gamma := gamma
 		b.Run(benchName("gamma10x", int(gamma*10)), func(b *testing.B) {
-			idx := core.Build(ds.Data, core.Config{C: c, W0: 2 * gamma * c * c, K: 10, L: 5, T: 100, Seed: 13})
-			s := idx.NewSearcher()
+			search := harness.DBLSH(ds.Data, core.Config{C: c, W0: 2 * gamma * c * c, K: 10, L: 5, T: 100, Seed: 13})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+				search(ds.Queries.Row(i%ds.Queries.Rows()), 50)
 			}
 		})
 	}
@@ -324,11 +319,10 @@ func BenchmarkAblationL(b *testing.B) {
 	for _, l := range []int{1, 5, 10} {
 		l := l
 		b.Run(benchName("L", l), func(b *testing.B) {
-			idx := core.Build(ds.Data, core.Config{C: 1.5, K: 10, L: l, T: 100, Seed: 13})
-			s := idx.NewSearcher()
+			search := harness.DBLSH(ds.Data, core.Config{C: 1.5, K: 10, L: l, T: 100, Seed: 13})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+				search(ds.Queries.Row(i%ds.Queries.Rows()), 50)
 			}
 		})
 	}

@@ -341,7 +341,8 @@ func (s *server) decodeVector(w http.ResponseWriter, r *http.Request) (searchReq
 }
 
 // searchError maps a SearchOpts error to an HTTP status: context expiry
-// (client gone or deadline hit) versus invalid options.
+// (client gone or deadline hit) versus invalid options or a query with a
+// non-finite component (dblsh.ErrInvalidVector), both the client's fault.
 func searchError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		httpError(w, http.StatusRequestTimeout, err.Error())
@@ -504,20 +505,26 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.idx.Add(req.Vector)
 	if err != nil {
-		// Only a rejected vector is the client's fault. A durable-write
-		// failure is a server-side fault (nothing was applied — retrying is
-		// safe), and a closed index means the server is shutting down.
-		switch {
-		case errors.Is(err, dblsh.ErrClosed):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, dblsh.ErrDurability):
-			httpError(w, http.StatusInternalServerError, err.Error())
-		default:
-			httpError(w, http.StatusBadRequest, err.Error())
-		}
+		httpError(w, addStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, addResponse{ID: id})
+}
+
+// addStatus maps an Add error to an HTTP status. Only a rejected vector —
+// non-finite (dblsh.ErrInvalidVector) or outside the metric's ingest
+// contract — is the client's fault. A durable-write failure is a
+// server-side fault (nothing was applied — retrying is safe), and a closed
+// index means the server is shutting down.
+func addStatus(err error) int {
+	switch {
+	case errors.Is(err, dblsh.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, dblsh.ErrDurability):
+		return http.StatusInternalServerError
+	default:
+		return http.StatusBadRequest
+	}
 }
 
 type deleteRequest struct {

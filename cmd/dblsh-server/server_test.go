@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -815,5 +816,29 @@ func TestLoadIndexDurableLifecycle(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 301 || re.NextID() != id+1 {
 		t.Fatalf("reopened store: Len=%d NextID=%d, want 301/%d", re.Len(), re.NextID(), id+1)
+	}
+}
+
+// TestInvalidVectorIs400 pins the status of a non-finite vector. JSON has
+// no literal for NaN or ±Inf and rejects float32 overflow while decoding,
+// so the library's ErrInvalidVector cannot arrive through a request body;
+// the mapping is checked on the error directly.
+func TestInvalidVectorIs400(t *testing.T) {
+	err := fmt.Errorf("%w: component 0 is NaN", dblsh.ErrInvalidVector)
+	if got := addStatus(err); got != http.StatusBadRequest {
+		t.Fatalf("add: status %d, want 400", got)
+	}
+	rec := httptest.NewRecorder()
+	searchError(rec, err)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("search: status %d, want 400", rec.Code)
+	}
+	rest := strings.Repeat(",0", 15) // the test index is 16-dimensional
+	for _, body := range []string{`{"vector":[1e39` + rest + `]}`, `{"vector":[NaN` + rest + `]}`} {
+		rec := httptest.NewRecorder()
+		newServer(testIndex(t), serverConfig{}).handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/vectors", bytes.NewBufferString(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST /vectors %s: status %d, want 400", body, rec.Code)
+		}
 	}
 }

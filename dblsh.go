@@ -383,8 +383,12 @@ func (idx *Index) Search(q []float32, k int) []Result {
 	return out
 }
 
-// SearchOne returns the single approximate nearest neighbor of q.
+// SearchOne returns the single approximate nearest neighbor of q; ok is
+// false on an empty index or a query with a non-finite component.
 func (idx *Index) SearchOne(q []float32) (Result, bool) {
+	if idx.checkQuery(q) != nil {
+		return Result{}, false
+	}
 	var buf []float32
 	nbs, _, _ := idx.set.Search(idx.transformQuery(&buf, q), 1, core.QueryParams{})
 	if len(nbs) == 0 {
@@ -514,6 +518,9 @@ func (idx *Index) IndexSizeBytes() int64 { return idx.set.IndexSizeBytes() }
 // satisfy the metric's ingest contract (nonzero under Cosine, ‖v‖ within
 // the norm bound under InnerProduct) or an error is returned.
 //
+// A vector with a NaN or ±Inf component is rejected with an error
+// wrapping ErrInvalidVector before it reaches the index or the op log.
+//
 // On a durable index (see Open) the mutation is write-ahead: the op log
 // record is appended — and, under SyncAlways, fsynced — before the vector
 // enters the index. A logging failure therefore applies nothing and
@@ -522,6 +529,9 @@ func (idx *Index) IndexSizeBytes() int64 { return idx.set.IndexSizeBytes() }
 func (idx *Index) Add(v []float32) (int, error) {
 	if len(v) != idx.dim {
 		return 0, fmt.Errorf("dblsh: vector dim %d, index dim %d", len(v), idx.dim)
+	}
+	if err := checkFinite(v); err != nil {
+		return 0, err
 	}
 	row := v
 	if idx.met.Kind() != metric.Euclidean {
@@ -539,7 +549,8 @@ func (idx *Index) Add(v []float32) (int, error) {
 // SearchBatch answers many queries in parallel across GOMAXPROCS workers,
 // each with its own Searcher. results[i] corresponds to queries[i]. It is
 // safe to run concurrently with Add and Delete. It is SearchBatchOpts with
-// no options.
+// no options: a query with a NaN or ±Inf component gets a nil slot while
+// the others are still answered.
 func (idx *Index) SearchBatch(queries [][]float32, k int) [][]Result {
 	out, _ := idx.SearchBatchOpts(queries, k)
 	return out

@@ -88,6 +88,11 @@ var ErrClosed = errors.New("dblsh: index is closed")
 // full disk, say) is safe.
 var ErrDurability = errors.New("dblsh: durable write failed")
 
+// ErrInvalidVector is returned (wrapped) by Add and by the Search*Opts
+// entry points for a vector with a NaN or ±Inf component. A rejected Add
+// applies nothing and logs nothing.
+var ErrInvalidVector = errors.New("dblsh: vector has a non-finite component")
+
 // errNotDurable is returned by durability operations on a purely in-memory
 // index.
 var errNotDurable = errors.New("dblsh: index is not durable (build it with Open)")

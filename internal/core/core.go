@@ -15,6 +15,11 @@
 // the end of Section IV-C: the candidate budget becomes 2tL+k and the
 // distance test applies to the k-th best candidate so far.
 //
+// This package provides one index's round primitives (Searcher.Begin,
+// RunRound, Covers, Sweep); the caller owns the candidate heap, the budget
+// and the termination test. The radius ladder itself runs in
+// internal/shard's coordinator, for any shard count including one.
+//
 // The package is determinism-critical — the candidate stream and result
 // set must not depend on map order, select winners, or runtime kernel
 // choices — and is patrolled by dblsh-lint's detorder analyzer.
@@ -137,7 +142,6 @@ type Index struct {
 	projected []*vec.Matrix // dblsh:guardedby caller — L matrices, n×K
 	trees     []*rstar.Tree // dblsh:guardedby caller — L R*-trees
 	r0        float64
-	pool      sync.Pool
 
 	// quant is the int8 mirror of data feeding the verification
 	// pre-filter; nil when Config.Quantize is "off". It mirrors the
@@ -155,11 +159,15 @@ type Index struct {
 
 // Build constructs the index: L projections of the dataset and L bulk-loaded
 // R*-trees. Projection and tree construction run in parallel across the L
-// spaces.
+// spaces. It panics when cfg.Tree.MaxEntries exceeds 64, the widest node
+// the traversal cursors' per-leaf bitmasks can represent.
 //
 // dblsh:exclusive the index is under construction and unpublished; the
 // build goroutines partition the L projected spaces, so no state is shared
 func Build(data *vec.Matrix, cfg Config) *Index {
+	if cfg.Tree.MaxEntries > 64 {
+		panic(fmt.Sprintf("core: Tree.MaxEntries %d exceeds the cursor limit of 64", cfg.Tree.MaxEntries))
+	}
 	n := data.Rows()
 	cfg = cfg.withDefaults(n)
 	cfg.Tree.Quantize = cfg.quantizeOn()
@@ -193,7 +201,6 @@ func Build(data *vec.Matrix, cfg Config) *Index {
 	if idx.r0 <= 0 {
 		idx.r0 = estimateInitialRadius(data, cfg.Seed)
 	}
-	idx.pool.New = func() interface{} { return newSearcher(idx) }
 	return idx
 }
 
@@ -359,13 +366,17 @@ func (idx *Index) Dim() int { return idx.data.Dim() }
 // InitialRadius returns the starting radius of the query ladder.
 func (idx *Index) InitialRadius() float64 { return idx.r0 }
 
-// IndexSizeBytes approximates the memory footprint of the projections and
-// trees (excluding the original data), the quantity Table IV compares.
+// IndexSizeBytes approximates the memory footprint of the projections,
+// trees and the pre-filter's int8 mirror (excluding the original data), the
+// quantity Table IV compares.
 func (idx *Index) IndexSizeBytes() int64 {
 	var b int64
 	for i, p := range idx.projected {
 		b += int64(p.Rows()) * int64(p.Dim()) * 4
 		b += idx.trees[i].ComputeStats().BytesApprox
+	}
+	if idx.quant != nil {
+		b += int64(idx.quant.Rows()) * int64(idx.data.Dim())
 	}
 	return b
 }
@@ -377,15 +388,14 @@ type Stats struct {
 	FinalR     float64 // radius at termination
 
 	// NodesVisited counts R*-tree nodes examined by the query's traversal,
-	// summed across trees and rounds. Under the incremental cursor ladder
-	// each node is examined at most once per query (plus re-arms); under the
-	// window re-scan oracle every round re-examines the covered region, so
-	// the two modes report very different values for identical results —
-	// this counter is how the difference is measured.
+	// summed across trees, rounds and shards. The incremental cursors
+	// examine each node at most once per query (plus re-arms after a
+	// mid-query mutation), where a root-to-leaf window re-scan per round
+	// would re-examine the whole covered region.
 	NodesVisited int
 	// Frontier is the number of items (subtrees and points) still parked in
 	// the traversal cursors when the query finished — the residual work the
-	// incremental ladder never had to touch. Zero under the re-scan oracle.
+	// incremental ladder never had to touch. Zero for a fixed-radius query.
 	Frontier int
 	// QuantPruned counts candidates the int8 quantized pre-filter rejected
 	// before any exact float32 work (a subset of Candidates: pruned rows
@@ -399,8 +409,8 @@ type Stats struct {
 	QuantSwept int
 	// ParallelRounds counts the coordinated ladder rounds that fanned out
 	// across shards concurrently, including the final covering sweep (which
-	// Rounds does not count, so this can reach Rounds+1). Zero on a
-	// single-shard index and whenever the query ran the sequential path.
+	// Rounds does not count, so this can reach Rounds+1). Zero whenever the
+	// query ran the sequential path, which a single-shard set always does.
 	ParallelRounds int
 	// StragglerNanos sums, over the parallel rounds, the wall time of each
 	// round's slowest shard gather — the critical path of the fan-out.
@@ -411,8 +421,7 @@ type Stats struct {
 
 // QueryParams carries per-query overrides of the knobs Config freezes at
 // build time. The zero value reproduces the index's build-time behavior
-// exactly, so every query path threads a QueryParams and the legacy entry
-// points pass the zero value.
+// exactly.
 type QueryParams struct {
 	// T overrides Config.T for this query: the verification budget becomes
 	// 2·T·L+k exact distance computations. 0 keeps the build-time value.
@@ -424,11 +433,6 @@ type QueryParams struct {
 	// exceed it are not executed and the query returns whatever candidates
 	// it has. 0 leaves the ladder unbounded.
 	MaxRadius float64
-	// Budget, when positive, replaces the derived candidate budget (2tL+k
-	// for the ladder, 2tL+1 for a fixed-radius round) with an absolute cap
-	// on exact distance computations. The shard coordinator uses it to
-	// share one budget across per-shard probes.
-	Budget int
 	// Ctx, when non-nil, is polled between radius rounds; once it is done
 	// the query stops and returns the best candidates found so far together
 	// with Ctx.Err().
@@ -441,25 +445,15 @@ type QueryParams struct {
 	// Parallelism overrides the shard coordinator's per-round fan-out width
 	// for this query: 0 inherits the set-level setting, -1 forces the auto
 	// policy (min(GOMAXPROCS, shards)), n ≥ 1 uses exactly n workers, with
-	// 1 selecting the sequential reference path. A single-index query
-	// ignores it — rounds on one core.Index have nothing to fan out over.
+	// 1 selecting the sequential reference path. A single-shard set always
+	// runs sequentially — one index has nothing to fan out over.
 	Parallelism int
 }
 
 // Resolve merges the per-query overrides with the build-time configuration,
 // returning the effective candidate constant and early-stop factor. It is
-// the single source of the knob-defaulting rules; the shard coordinator
-// uses it so the multi-shard ladder terminates exactly like the
-// single-shard one.
+// the single source of the knob-defaulting rules.
 func (p QueryParams) Resolve(cfg Config) (t int, stopFactor float64) {
-	return p.resolve(cfg)
-}
-
-// Cancelled reports whether the query's context has expired.
-func (p QueryParams) Cancelled() bool { return p.cancelled() }
-
-// resolve merges the per-query overrides with the build-time configuration.
-func (p QueryParams) resolve(cfg Config) (t int, stopFactor float64) {
 	t = cfg.T
 	if p.T > 0 {
 		t = p.T
@@ -474,8 +468,8 @@ func (p QueryParams) resolve(cfg Config) (t int, stopFactor float64) {
 	return t, stopFactor
 }
 
-// cancelled reports whether the query's context has expired.
-func (p QueryParams) cancelled() bool {
+// Cancelled reports whether the query's context has expired.
+func (p QueryParams) Cancelled() bool {
 	if p.Ctx == nil {
 		return false
 	}
@@ -514,10 +508,9 @@ type Searcher struct {
 	quantHits  int // rows pruned in the current window
 
 	// Candidate block scratch: ids gathered from the traversal, and the
-	// distances the batch kernel writes for them. In cursor mode bmeta runs
-	// parallel to bids, recording which cursor surfaced each candidate (and
-	// where in its shell) so an unconsumed candidate can be returned to its
-	// frontier instead of relying on a re-scan to rediscover it.
+	// distances the batch kernel writes for them. bmeta runs parallel to
+	// bids, recording which cursor surfaced each candidate (and where in its
+	// shell) so an unconsumed candidate can be returned to its frontier.
 	bids   []int
 	bmeta  []blockMeta
 	bdists []float64
@@ -526,12 +519,8 @@ type Searcher struct {
 	// cursors are the L per-tree incremental frontiers of the ladder; Begin
 	// seeds them and each round advances them by one shell, so the query
 	// touches every tree node at most once instead of re-walking the covered
-	// region every round. rescan switches the searcher back to the
-	// root-to-leaf window re-scan of the original Algorithm 2 formulation —
-	// kept alive as the differential oracle the cursor ladder is tested
-	// against, verifying the same candidates in the same order.
+	// region every round as the literal Algorithm 2 window re-scan would.
 	cursors []*rstar.Cursor
-	rescan  bool
 	rearms  int // cursor re-arms triggered by mid-query tree mutations
 }
 
@@ -551,35 +540,15 @@ func newSearcher(idx *Index) *Searcher {
 		bmeta:   make([]blockMeta, 0, verifyBlockSize),
 		bdists:  make([]float64, verifyBlockSize),
 		ebuf:    make([]int32, verifyBlockSize),
+		cursors: make([]*rstar.Cursor, idx.cfg.L),
 	}
 	for i := range s.qhash {
 		s.qhash[i] = make([]float32, 0, idx.cfg.K)
 	}
-	if idx.cfg.Tree.MaxEntries <= 64 {
-		// The cursors' per-leaf bitmasks need MaxEntries ≤ 64 (default 32);
-		// an exotic wider tree falls back to the window re-scan traversal,
-		// which answers identically (see SetWindowRescan).
-		s.cursors = make([]*rstar.Cursor, idx.cfg.L)
-		for i := range s.cursors {
-			s.cursors[i] = rstar.NewCursor(idx.trees[i])
-		}
-	} else {
-		s.rescan = true
+	for i := range s.cursors {
+		s.cursors[i] = rstar.NewCursor(idx.trees[i])
 	}
 	return s
-}
-
-// SetWindowRescan switches the searcher between the incremental cursor
-// ladder (the default, on = false) and the per-round window re-scan of the
-// paper's literal Algorithm 2 formulation. The two traversals verify the
-// same candidate set in the same order — re-scan mode exists as the
-// differential oracle the equivalence tests and fuzzers compare against,
-// and as an escape hatch while the cursor path is load-bearing.
-func (s *Searcher) SetWindowRescan(on bool) {
-	if s.cursors == nil {
-		on = true // no cursors to switch to (tree too wide; see newSearcher)
-	}
-	s.rescan = on
 }
 
 // FrontierLen returns the total number of items parked across the
@@ -601,18 +570,10 @@ func (s *Searcher) CursorReArms() int { return s.rearms }
 // verifyBlockSize is the candidate block the verification path gathers
 // before calling the batch distance kernels: large enough to amortize the
 // per-block bookkeeping and keep q's cache lines hot across rows. The
-// cursor ladder always gathers full blocks — a stop mid-block hands the
+// cursors always gather full blocks — a stop mid-block hands the
 // unconsumed candidates back to the frontiers exactly, so over-gathering
-// never costs more than one block of traversal per query. The window
-// re-scan oracle has no hand-back: once the caller's top-k heap is full a
-// stop can fire at any flush, and every fresh candidate gathered past the
-// stop is traversal the pre-blocking code never paid (late-round windows
-// are dense with already-visited points), so there the gather shrinks to
-// verifyBlockHot.
-const (
-	verifyBlockSize = 64
-	verifyBlockHot  = 2
-)
+// never costs more than one block of traversal per query.
+const verifyBlockSize = 64
 
 // flushBlock verifies the gathered candidate block with the batched kernels
 // and reports the candidates to emit in gather order. worst, when non-nil,
@@ -661,8 +622,9 @@ func (s *Searcher) flushBlock(q []float32, worst func() float64, emit emitFunc) 
 	for k, id := range s.bids[n:] {
 		s.visited[id] = 0
 		if withMeta {
-			// Cursor mode: a re-scan would rediscover the candidate next
-			// round; the frontier has to get it back explicitly.
+			// The cursor frontier has to get the candidate back explicitly.
+			// (The window re-scan oracle of the tests gathers without meta:
+			// its next root-to-leaf scan rediscovers the cleared stamp.)
 			m := s.bmeta[n+k]
 			s.cursors[m.tree].Unpop(int(m.pos))
 		}
@@ -717,33 +679,9 @@ type emitFunc = func(ids []int, dists []float64) (consumed int, stop bool)
 // NewSearcher returns a dedicated searcher bound to the index.
 func (idx *Index) NewSearcher() *Searcher { return newSearcher(idx) }
 
-// KANN answers a (c,k)-ANN query using a pooled searcher. For repeated
-// queries from one goroutine, prefer an explicit Searcher.
-func (idx *Index) KANN(q []float32, k int) []vec.Neighbor {
-	s := idx.pool.Get().(*Searcher)
-	defer idx.pool.Put(s)
-	return s.KANN(q, k)
-}
-
-// KANNParams answers a (c,k)-ANN query with per-query overrides using a
-// pooled searcher, returning the query's statistics alongside the results.
-// A non-nil error (the context's) still comes with the best candidates
-// found before cancellation.
-func (idx *Index) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, Stats, error) {
-	s := idx.pool.Get().(*Searcher)
-	defer idx.pool.Put(s)
-	nbs, err := s.KANNParams(q, k, p)
-	return nbs, s.last, err
-}
-
-// ANN answers a c-ANN query (k = 1). ok is false only on an empty index.
-func (idx *Index) ANN(q []float32) (vec.Neighbor, bool) {
-	s := idx.pool.Get().(*Searcher)
-	defer idx.pool.Put(s)
-	return s.ANN(q)
-}
-
-// LastStats returns statistics for the searcher's most recent query.
+// LastStats returns statistics for the searcher's current (or most recent)
+// query: the traversal and pre-filter counters Begin reset. Candidates,
+// Rounds and FinalR belong to the caller that drives the rounds.
 func (s *Searcher) LastStats() Stats { return s.last }
 
 // freshEpoch starts a new visited-stamp epoch, clearing stamps on wraparound
@@ -760,167 +698,15 @@ func (s *Searcher) freshEpoch() {
 	}
 }
 
-// ANN answers a c-ANN query with this searcher.
-func (s *Searcher) ANN(q []float32) (vec.Neighbor, bool) {
-	res := s.KANN(q, 1)
-	if len(res) == 0 {
-		return vec.Neighbor{}, false
-	}
-	return res[0], true
-}
-
-// KANN answers a (c,k)-ANN query with the index's build-time parameters.
-func (s *Searcher) KANN(q []float32, k int) []vec.Neighbor {
-	nbs, _ := s.KANNParams(q, k, QueryParams{})
-	return nbs
-}
-
-// KANNParams answers a (c,k)-ANN query (Algorithm 2 with the Section IV-C
-// (c,k) termination rules): radius grows r, cr, c²r, …; at each radius L
-// window queries materialize query-centric buckets of width w0·r; candidates
-// are verified by exact distance — in blocks, through the batched kernels
-// with early-abandon pruning against the current k-th best — until the
-// budget 2tL+k is exhausted or the k-th best candidate is within c·r. The
-// QueryParams override the build-time knobs for this query only; the zero
-// value is KANN. The returned error is non-nil only when p.Ctx expires, and
-// even then the candidates verified before cancellation are returned.
-func (s *Searcher) KANNParams(q []float32, k int, p QueryParams) ([]vec.Neighbor, error) {
-	idx := s.idx
-	if len(q) != idx.data.Dim() {
-		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), idx.data.Dim()))
-	}
-	if k <= 0 {
-		panic("core: k must be positive")
-	}
-	s.last = Stats{}
-	if idx.data.Rows() == 0 {
-		return nil, nil
-	}
-	// Checked before the per-query hashing as well as per round, so the
-	// queries behind a dead context in a large batch are near-free.
-	if p.cancelled() {
-		return nil, p.Ctx.Err()
-	}
-
-	s.Begin(q)
-
-	t, stopFactor := p.resolve(idx.cfg)
-	cand := vec.NewTopK(k)
-	budget := 2*t*idx.cfg.L + k
-	if p.Budget > 0 {
-		budget = p.Budget
-	}
-	cnt := 0
-	live := idx.Live()
-	c := idx.cfg.C
-	stopC := stopFactor * c
-	w0 := idx.cfg.W0
-	r := idx.r0
-
-	worst := func() float64 {
-		if w, full := cand.Worst(); full {
-			return w
-		}
-		return math.Inf(1)
-	}
-	done := false
-	// The budget and the termination test apply per candidate in gather
-	// order, exactly as the pre-blocking per-id loop did; a mid-block stop
-	// hands the unconsumed tail back to the traversal (see flushBlock), so
-	// blocking never changes which candidates are verified.
-	emit := func(ids []int, dists []float64) (int, bool) {
-		for j, id := range ids {
-			cand.Push(id, dists[j])
-			cnt++
-			if cnt >= budget {
-				done = true
-				return j + 1, true
-			}
-			if w, full := cand.Worst(); full && w <= stopC*r {
-				done = true
-				return j + 1, true
-			}
-		}
-		return len(ids), false
-	}
-
-	for {
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			break
-		}
-		if p.cancelled() {
-			s.last.Candidates = cnt
-			s.finishTraversal()
-			return cand.Results(), p.Ctx.Err()
-		}
-		s.last.Rounds++
-		s.runWindows(q, r, p.Filter, worst, emit)
-		s.last.FinalR = r
-		if done {
-			break
-		}
-		if w, full := cand.Worst(); full && w <= stopC*r {
-			break
-		}
-		if cnt >= live {
-			break // every live point verified: the result is exact
-		}
-		r *= c
-		if p.MaxRadius > 0 && r > p.MaxRadius {
-			// Checked here as well as at the loop top so the full-corpus
-			// sweep below can never run past the cap.
-			break
-		}
-		if s.coversAllTrees(w0 * r) {
-			// The next window contains every projected point in every tree;
-			// run one final full sweep — bounded by the budget but not the
-			// termination test — and stop.
-			sweepEmit := func(ids []int, dists []float64) (int, bool) {
-				for j, id := range ids {
-					cand.Push(id, dists[j])
-					cnt++
-					if cnt >= budget {
-						return j + 1, true
-					}
-				}
-				return len(ids), false
-			}
-			s.Sweep(q, p.Filter, worst, sweepEmit)
-			break
-		}
-	}
-	s.last.Candidates = cnt
-	s.finishTraversal()
-	return cand.Results(), nil
-}
-
-// finishTraversal records the cursors' end-of-query state into the stats.
-func (s *Searcher) finishTraversal() {
-	if !s.rescan {
-		s.last.Frontier = s.FrontierLen()
-	}
-}
-
-// coversAllTrees reports whether a window of width w centred at the query
-// hash would contain the entire bounding box of every tree.
-func (s *Searcher) coversAllTrees(w float64) bool {
-	for i, tr := range s.idx.trees {
-		if !tr.Covered(s.qhash[i], w/2) {
-			return false
-		}
-	}
-	return true
-}
-
 // Round-level query primitives.
 //
-// KANNParams runs the whole radius ladder against one index. A sharded
-// index needs the ladder *split across indexes*: every shard executes the
-// same round r, cr, c²r, … and a coordinator merges candidates, applies the
-// global budget and the global termination test — otherwise each shard
-// re-runs the full ladder against its sparser stripe and a fanned-out query
-// costs S× the paper's work profile. Begin/RunRound/Covers/Sweep expose one
-// round as the unit of work so the shard layer can be that coordinator.
+// A query runs Algorithm 2's radius ladder r, cr, c²r, … over one or more
+// indexes: every index executes the same round, and a coordinator (the
+// shard layer) merges candidates into one top-k and applies one budget and
+// one termination test — otherwise each shard would re-run the full ladder
+// against its sparser stripe and a fanned-out query would cost S× the
+// paper's work profile. Begin/RunRound/Covers/Sweep expose one round of
+// one index as the unit of work.
 //
 // Candidates flow to the caller in verified blocks, not per-id callbacks:
 // the traversal gathers up to verifyBlockSize ids, the batch kernels verify
@@ -931,9 +717,9 @@ func (s *Searcher) coversAllTrees(w float64) bool {
 
 // Begin prepares the searcher for a round-coordinated query: it starts a
 // fresh visited epoch, hashes q into each projected space, and seeds the L
-// traversal cursors at their roots (cursor mode; seeding is O(1) per tree —
-// traversal happens lazily as rounds advance). Call it once per query
-// before the first RunRound.
+// traversal cursors at their roots (seeding is O(1) per tree — traversal
+// happens lazily as rounds advance). Call it once per query before the
+// first RunRound.
 func (s *Searcher) Begin(q []float32) {
 	if len(q) != s.idx.data.Dim() {
 		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), s.idx.data.Dim()))
@@ -946,10 +732,8 @@ func (s *Searcher) Begin(q []float32) {
 	if s.idx.quant != nil {
 		s.qunits = s.idx.quant.QuantizeQueryUnits(q, s.qunits)
 	}
-	if !s.rescan {
-		for i, cur := range s.cursors {
-			cur.Reset(s.qhash[i])
-		}
+	for i, cur := range s.cursors {
+		cur.Reset(s.qhash[i])
 	}
 }
 
@@ -974,24 +758,19 @@ func (s *Searcher) ensureStamps() {
 // unconsumed candidates are handed back for later rounds. The caller owns
 // the candidate heap, the budget and the termination test.
 //
-// In the default cursor mode the round advances the L persistent frontiers
-// by one shell instead of re-scanning each window from the root; a tree
-// mutated since the previous round (the shard coordinator releases its lock
-// between rounds, so appends can interleave) is detected by version and its
-// cursor re-armed, so mid-query inserts are picked up exactly as a re-scan
-// would pick them up rather than silently missed.
+// The round advances the L persistent frontiers by one shell instead of
+// re-scanning each window from the root; a tree mutated since the previous
+// round (the shard coordinator releases its lock between rounds, so appends
+// can interleave) is detected by version and its cursor re-armed, so
+// mid-query inserts are picked up exactly as a re-scan would pick them up
+// rather than silently missed.
+//
+// With worst == nil (a fixed-radius round, whose first qualifying
+// candidate ends the query) the block is also flushed at every tree
+// boundary, so a hit in an early tree stops the round before the later
+// trees are walked.
 func (s *Searcher) RunRound(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
 	s.ensureStamps()
-	s.runWindows(q, r, filter, worst, emit)
-}
-
-// runWindows is RunRound without the stamp-growth check (KANNParams has
-// already run freshEpoch when it calls this).
-func (s *Searcher) runWindows(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
-	if s.rescan {
-		s.runWindowsRescan(q, r, filter, worst, emit)
-		return
-	}
 	half := s.idx.cfg.W0 * r / 2
 	s.bids = s.bids[:0]
 	s.bmeta = s.bmeta[:0]
@@ -999,14 +778,16 @@ func (s *Searcher) runWindows(q []float32, r float64, filter func(int) bool, wor
 		if !s.advanceCursor(i, half, q, filter, worst, emit) {
 			return // stopped: flushBlock already handed back unconsumed work
 		}
+		if worst == nil && !s.flushBlock(q, nil, emit) {
+			return
+		}
 	}
 	s.flushBlock(q, worst, emit)
 }
 
 // advanceCursor widens cursor i's window to Chebyshev half-width half and
 // gathers the newly-exposed shell into the verification block, flushing at
-// full blocks (cursor mode always gathers verifyBlockSize; see
-// blockLimit). A stale cursor (tree mutated since it was seeded) is
+// full blocks. A stale cursor (tree mutated since it was seeded) is
 // re-armed first. Returns false when a flush stopped the traversal — the
 // unexamined shell remainder stays in the frontier so later rounds can
 // still surface it.
@@ -1066,205 +847,30 @@ outer:
 	return !stopped
 }
 
-// runWindowsRescan is the window re-scan formulation: each round runs every
-// window query root-to-leaf, re-walking the already-covered region and
-// relying on the visited stamps to skip re-verification. Kept as the
-// differential oracle for the cursor ladder (see SetWindowRescan).
-func (s *Searcher) runWindowsRescan(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
-	idx := s.idx
-	s.bids = s.bids[:0]
-	s.bmeta = s.bmeta[:0]
-	aborted := false
-	limit := s.blockLimit(worst)
-	for i := 0; i < idx.cfg.L && !aborted; i++ {
-		w := rstar.WindowRect(s.qhash[i], idx.cfg.W0*r)
-		s.last.NodesVisited += idx.trees[i].WindowVisits(w, func(id int) bool {
-			if s.visited[id] == s.epoch {
-				return true
-			}
-			s.visited[id] = s.epoch
-			if idx.isDeleted(id) {
-				return true
-			}
-			if filter != nil && !filter(id) {
-				return true
-			}
-			s.bids = append(s.bids, id)
-			if len(s.bids) >= limit {
-				if !s.flushBlock(q, worst, emit) {
-					aborted = true
-					return false
-				}
-				limit = s.blockLimit(worst)
-			}
-			return true
-		})
-	}
-	if !aborted {
-		s.flushBlock(q, worst, emit)
-	}
-}
-
-// blockLimit picks the gather size for the re-scan oracle's next block:
-// full-size while the caller's heap is still filling (no stop can fire),
-// verifyBlockHot once it is full — the re-scan has no way to hand back
-// over-gathered candidates, so a stop must not over-run traversal by more
-// than a few entries. The cursor ladder never consults this: it always
-// gathers full blocks, because a stop mid-block hands the unconsumed tail
-// back to the frontiers exactly (see Cursor.Unpop) and over-gathering
-// costs at most one block of traversal once per query.
-func (s *Searcher) blockLimit(worst func() float64) int {
-	if worst != nil && !math.IsInf(worst(), 1) {
-		return verifyBlockHot
-	}
-	return verifyBlockSize
-}
-
 // Covers reports whether the next round at radius r would materialize
 // buckets containing every indexed point — the ladder's natural end.
-func (s *Searcher) Covers(r float64) bool { return s.coversAllTrees(s.idx.cfg.W0 * r) }
+func (s *Searcher) Covers(r float64) bool {
+	w := s.idx.cfg.W0 * r
+	for i, tr := range s.idx.trees {
+		if !tr.Covered(s.qhash[i], w/2) {
+			return false
+		}
+	}
+	return true
+}
 
 // Sweep verifies all remaining unvisited live points, for the final
-// full-coverage round, through the first tree (every point appears in every
-// tree, so one suffices). Blocks, worst and emit behave as in RunRound. In
-// cursor mode the sweep simply drains the first frontier — everything not
-// yet popped — instead of re-walking the whole tree.
+// full-coverage round, by draining the first cursor's frontier —
+// everything not yet popped (every point appears in every tree, so one
+// suffices). Blocks, worst and emit behave as in RunRound.
 func (s *Searcher) Sweep(q []float32, filter func(int) bool, worst func() float64, emit emitFunc) {
-	idx := s.idx
-	if idx.data.Rows() == 0 {
+	if s.idx.data.Rows() == 0 {
 		return
 	}
 	s.ensureStamps()
 	s.bids = s.bids[:0]
 	s.bmeta = s.bmeta[:0]
-	if !s.rescan {
-		if s.advanceCursor(0, math.Inf(1), q, filter, worst, emit) {
-			s.flushBlock(q, worst, emit)
-		}
-		return
-	}
-	limit := s.blockLimit(worst)
-	aborted := false
-	tr := idx.trees[0]
-	s.last.NodesVisited += tr.WindowVisits(tr.Bounds(), func(id int) bool {
-		if s.visited[id] == s.epoch {
-			return true
-		}
-		s.visited[id] = s.epoch
-		if idx.isDeleted(id) {
-			return true
-		}
-		if filter != nil && !filter(id) {
-			return true
-		}
-		s.bids = append(s.bids, id)
-		if len(s.bids) >= limit {
-			if !s.flushBlock(q, worst, emit) {
-				aborted = true
-				return false
-			}
-			limit = s.blockLimit(worst)
-		}
-		return true
-	})
-	if !aborted {
+	if s.advanceCursor(0, math.Inf(1), q, filter, worst, emit) {
 		s.flushBlock(q, worst, emit)
 	}
-}
-
-// RNear answers a single (r,c)-NN query (Algorithm 1): it returns a point
-// within c·r of q if one is found before the 2tL+1 candidate budget runs
-// out, the budget-exhausting candidate otherwise, or ok = false when the L
-// window queries complete without either condition triggering.
-func (s *Searcher) RNear(q []float32, r float64) (vec.Neighbor, bool) {
-	nb, ok, _ := s.RNearParams(q, r, QueryParams{})
-	return nb, ok
-}
-
-// RNearParams is RNear with per-query overrides: the candidate budget uses
-// p.T when set, p.Filter excludes points before verification, and p.Ctx is
-// checked once at entry (a single (r,c)-NN round is the unit of cancellation
-// in the ladder). p.EarlyStopFactor and p.MaxRadius do not apply to a
-// fixed-radius query and are ignored.
-func (s *Searcher) RNearParams(q []float32, r float64, p QueryParams) (vec.Neighbor, bool, error) {
-	idx := s.idx
-	if len(q) != idx.data.Dim() {
-		panic(fmt.Sprintf("core: query dim %d, index dim %d", len(q), idx.data.Dim()))
-	}
-	s.last = Stats{Rounds: 1, FinalR: r}
-	if idx.data.Rows() == 0 {
-		return vec.Neighbor{}, false, nil
-	}
-	if p.cancelled() {
-		s.last = Stats{FinalR: r}
-		return vec.Neighbor{}, false, p.Ctx.Err()
-	}
-	s.freshEpoch()
-	for i := 0; i < idx.cfg.L; i++ {
-		s.qhash[i] = idx.family.Compound(i).Hash(s.qhash[i][:0], q)
-	}
-	if idx.quant != nil {
-		s.qunits = idx.quant.QuantizeQueryUnits(q, s.qunits)
-	}
-
-	t, _ := p.resolve(idx.cfg)
-	budget := 2*t*idx.cfg.L + 1
-	if p.Budget > 0 {
-		budget = p.Budget
-	}
-	cnt := 0
-	c := idx.cfg.C
-	var found vec.Neighbor
-	ok := false
-	// Verification runs through the blocked batch kernels like the ladder's
-	// rounds: candidates gather into blocks and the budget and the c·r test
-	// apply per candidate in gather order, so the answer is the one the
-	// scalar per-id loop produced. No early-abandon bound applies — the
-	// budget-exhausting candidate is returned with its distance, so every
-	// distance must be exact.
-	emit := func(ids []int, dists []float64) (int, bool) {
-		for j, id := range ids {
-			cnt++
-			if cnt >= budget || dists[j] <= c*r {
-				found, ok = vec.Neighbor{ID: id, Dist: dists[j]}, true
-				return j + 1, true
-			}
-		}
-		return len(ids), false
-	}
-	s.bids = s.bids[:0]
-	s.bmeta = s.bmeta[:0]
-	aborted := false
-	for i := 0; i < idx.cfg.L && !aborted; i++ {
-		w := rstar.WindowRect(s.qhash[i], idx.cfg.W0*r)
-		s.last.NodesVisited += idx.trees[i].WindowVisits(w, func(id int) bool {
-			if s.visited[id] == s.epoch {
-				return true
-			}
-			s.visited[id] = s.epoch
-			if idx.isDeleted(id) {
-				return true
-			}
-			if p.Filter != nil && !p.Filter(id) {
-				return true
-			}
-			s.bids = append(s.bids, id)
-			if len(s.bids) >= verifyBlockSize {
-				if !s.flushBlock(q, nil, emit) {
-					aborted = true
-					return false
-				}
-			}
-			return true
-		})
-		// Flush at each tree boundary as well as at full blocks: a
-		// qualifying candidate in an early tree's window must stop the
-		// query before the remaining windows are traversed, matching the
-		// pre-blocking per-id loop's early exit to within one window.
-		if !aborted && !s.flushBlock(q, nil, emit) {
-			aborted = true
-		}
-	}
-	s.last.Candidates = cnt
-	return found, ok, nil
 }

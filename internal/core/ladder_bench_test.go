@@ -11,7 +11,7 @@ import (
 // behind the traversal rework, on the same clustered corpus as the
 // top-level Table 4 benchmark. Both modes verify identical candidates in
 // identical order (see the ladder equivalence tests); only traversal cost
-// differs.
+// differs. Both run under the test-only ladder loop (ladderQuery).
 func BenchmarkLadderModes(b *testing.B) {
 	ds := dataset.Generate(dataset.Profile{
 		Name: "bench", N: 20_000, Dim: 128, Queries: 50,
@@ -24,10 +24,9 @@ func BenchmarkLadderModes(b *testing.B) {
 	}{{"cursor", false}, {"rescan", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			s := idx.NewSearcher()
-			s.SetWindowRescan(mode.rescan)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.KANN(ds.Queries.Row(i%ds.Queries.Rows()), 50)
+				_, _, _ = ladderQuery(s, ds.Queries.Row(i%ds.Queries.Rows()), 50, QueryParams{}, mode.rescan)
 			}
 		})
 	}

@@ -9,6 +9,177 @@ import (
 	"dblsh/internal/vec"
 )
 
+// The window re-scan oracle: Algorithm 2's literal formulation, in which
+// every round runs each window query root-to-leaf, re-walking the
+// already-covered region and relying on the visited stamps to skip
+// re-verification. RunRound and Sweep must verify the same candidates in
+// the same order; the equivalence tests and fuzzers below compare the two.
+
+// verifyBlockHot is the oracle's gather size once the caller's top-k heap is
+// full. The re-scan has no way to hand back over-gathered candidates, so a
+// stop can fire at any flush and every fresh candidate gathered past it is
+// traversal wasted (late-round windows are dense with already-visited
+// points); the cursors never need this, since a stop mid-block hands the
+// unconsumed tail back to their frontiers exactly.
+const verifyBlockHot = 2
+
+// blockLimit picks the gather size for the oracle's next block: full-size
+// while the caller's heap is still filling (no stop can fire),
+// verifyBlockHot once it is full.
+func (s *Searcher) blockLimit(worst func() float64) int {
+	if worst != nil && !math.IsInf(worst(), 1) {
+		return verifyBlockHot
+	}
+	return verifyBlockSize
+}
+
+// runWindowsRescan is RunRound's re-scan formulation.
+func (s *Searcher) runWindowsRescan(q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc) {
+	s.ensureStamps()
+	s.bids = s.bids[:0]
+	s.bmeta = s.bmeta[:0]
+	for i, tr := range s.idx.trees {
+		if !s.rescanWindow(tr, rstar.WindowRect(s.qhash[i], s.idx.cfg.W0*r), q, filter, worst, emit) {
+			return
+		}
+	}
+	s.flushBlock(q, worst, emit)
+}
+
+// sweepRescan is Sweep's re-scan formulation: one window over the first
+// tree's whole bounding box.
+func (s *Searcher) sweepRescan(q []float32, filter func(int) bool, worst func() float64, emit emitFunc) {
+	if s.idx.data.Rows() == 0 {
+		return
+	}
+	s.ensureStamps()
+	s.bids = s.bids[:0]
+	s.bmeta = s.bmeta[:0]
+	tr := s.idx.trees[0]
+	if s.rescanWindow(tr, tr.Bounds(), q, filter, worst, emit) {
+		s.flushBlock(q, worst, emit)
+	}
+}
+
+// rescanWindow gathers window w's unvisited, live, filter-passing points
+// into the verification block, flushing at blockLimit. It returns false
+// when a flush stopped the traversal.
+func (s *Searcher) rescanWindow(tr *rstar.Tree, w rstar.Rect, q []float32, filter func(int) bool, worst func() float64, emit emitFunc) bool {
+	aborted := false
+	limit := s.blockLimit(worst)
+	s.last.NodesVisited += tr.WindowVisits(w, func(id int) bool {
+		if s.visited[id] == s.epoch {
+			return true
+		}
+		s.visited[id] = s.epoch
+		if s.idx.isDeleted(id) {
+			return true
+		}
+		if filter != nil && !filter(id) {
+			return true
+		}
+		s.bids = append(s.bids, id)
+		if len(s.bids) >= limit {
+			if !s.flushBlock(q, worst, emit) {
+				aborted = true
+				return false
+			}
+			limit = s.blockLimit(worst)
+		}
+		return true
+	})
+	return !aborted
+}
+
+// ladderQuery answers a (c,k)-ANN query on one index with a test-only copy
+// of Algorithm 2's radius ladder — the loop the shard coordinator runs at
+// one shard — driving each round through the production cursors (RunRound,
+// Sweep) or, with rescan, through the window re-scan oracle. The returned
+// stats carry the ladder's candidate count, round count and final radius
+// alongside the searcher's traversal counters.
+func ladderQuery(s *Searcher, q []float32, k int, p QueryParams, rescan bool) ([]vec.Neighbor, Stats, error) {
+	idx := s.idx
+	if p.Cancelled() {
+		return nil, Stats{}, p.Ctx.Err()
+	}
+	if idx.data.Rows() == 0 {
+		return nil, Stats{}, nil
+	}
+	s.Begin(q)
+	t, stopFactor := p.Resolve(idx.cfg)
+	budget := 2*t*idx.cfg.L + k
+	stopC := stopFactor * idx.cfg.C
+	live := idx.Live()
+	cand := vec.NewTopK(k)
+	var st Stats
+	cnt, done := 0, false
+	worst := func() float64 {
+		if w, full := cand.Worst(); full {
+			return w
+		}
+		return math.Inf(1)
+	}
+	emit := func(r float64, sweep bool) emitFunc {
+		return func(ids []int, dists []float64) (int, bool) {
+			for j, id := range ids {
+				cand.Push(id, dists[j])
+				cnt++
+				if cnt >= budget {
+					done = true
+					return j + 1, true
+				}
+				if w, full := cand.Worst(); !sweep && full && w <= stopC*r {
+					done = true
+					return j + 1, true
+				}
+			}
+			return len(ids), false
+		}
+	}
+	finish := func(err error) ([]vec.Neighbor, Stats, error) {
+		last := s.LastStats()
+		last.Candidates, last.Rounds, last.FinalR = cnt, st.Rounds, st.FinalR
+		return cand.Results(), last, err
+	}
+	for r := idx.r0; ; {
+		if p.MaxRadius > 0 && r > p.MaxRadius {
+			break
+		}
+		if p.Cancelled() {
+			return finish(p.Ctx.Err())
+		}
+		st.Rounds++
+		if rescan {
+			s.runWindowsRescan(q, r, p.Filter, worst, emit(r, false))
+		} else {
+			s.RunRound(q, r, p.Filter, worst, emit(r, false))
+		}
+		st.FinalR = r
+		if done {
+			break
+		}
+		if w, full := cand.Worst(); full && w <= stopC*r {
+			break
+		}
+		if cnt >= live {
+			break
+		}
+		r *= idx.cfg.C
+		if p.MaxRadius > 0 && r > p.MaxRadius {
+			break
+		}
+		if s.Covers(r) {
+			if rescan {
+				s.sweepRescan(q, p.Filter, worst, emit(r, true))
+			} else {
+				s.Sweep(q, p.Filter, worst, emit(r, true))
+			}
+			break
+		}
+	}
+	return finish(nil)
+}
+
 // ladderIndex builds a small random index for the differential tests.
 func ladderIndex(seed int64, n, d int) (*Index, *vec.Matrix, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
@@ -27,12 +198,8 @@ func ladderIndex(seed int64, n, d int) (*Index, *vec.Matrix, *rand.Rand) {
 // count, final radius, or the returned error.
 func diffOneQuery(t *testing.T, idx *Index, q []float32, k int, p QueryParams) {
 	t.Helper()
-	cs := idx.NewSearcher()
-	rs := idx.NewSearcher()
-	rs.SetWindowRescan(true)
-
-	got, gerr := cs.KANNParams(q, k, p)
-	want, werr := rs.KANNParams(q, k, p)
+	got, gst, gerr := ladderQuery(idx.NewSearcher(), q, k, p, false)
+	want, wst, werr := ladderQuery(idx.NewSearcher(), q, k, p, true)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("error mismatch: cursor %v, rescan %v", gerr, werr)
 	}
@@ -44,7 +211,6 @@ func diffOneQuery(t *testing.T, idx *Index, q []float32, k int, p QueryParams) {
 			t.Fatalf("result %d mismatch: cursor %+v, rescan %+v", i, got[i], want[i])
 		}
 	}
-	gst, wst := cs.LastStats(), rs.LastStats()
 	if gst.Candidates != wst.Candidates {
 		t.Fatalf("candidate count mismatch: cursor %d, rescan %d", gst.Candidates, wst.Candidates)
 	}
@@ -103,31 +269,8 @@ func TestLadderEquivalenceSelfQueries(t *testing.T) {
 	}
 }
 
-// TestRNearEquivalentToScalarContract checks the blocked RNear path still
-// honors Algorithm 1's contract on random instances (the scalar loop it
-// replaced is gone; the property is the observable anchor).
-func TestRNearBlockedContract(t *testing.T) {
-	idx, data, rng := ladderIndex(77, 250, 5)
-	s := idx.NewSearcher()
-	for trial := 0; trial < 40; trial++ {
-		q := make([]float32, data.Dim())
-		for j := range q {
-			q[j] = float32(rng.NormFloat64() * 8)
-		}
-		r := 0.5 + rng.Float64()*10
-		nb, ok := s.RNear(q, r)
-		if !ok {
-			continue
-		}
-		budget := 2*idx.cfg.T*idx.cfg.L + 1
-		if s.LastStats().Candidates < budget && nb.Dist > idx.cfg.C*r+1e-9 {
-			t.Fatalf("RNear returned %v beyond c·r = %v without exhausting budget", nb.Dist, idx.cfg.C*r)
-		}
-		if vec.Dist(q, data.Row(nb.ID)) != nb.Dist {
-			t.Fatalf("RNear distance %v is not the true distance", nb.Dist)
-		}
-	}
-}
+// roundFunc is one round of either traversal: RunRound or the oracle.
+type roundFunc = func(s *Searcher, q []float32, r float64, filter func(int) bool, worst func() float64, emit emitFunc)
 
 // TestCursorReArmMidQuery pins the mutate-during-query contract
 // deterministically: a round-coordinated query paused between rounds (the
@@ -137,25 +280,25 @@ func TestCursorReArmMidQuery(t *testing.T) {
 	idx, data, _ := ladderIndex(5, 200, 4)
 	q := make([]float32, data.Dim()) // query at the origin
 
-	run := func(s *Searcher, r float64, seen map[int]bool) {
+	run := func(s *Searcher, round roundFunc, r float64, seen map[int]bool) {
 		emit := func(ids []int, dists []float64) (int, bool) {
 			for _, id := range ids {
 				seen[id] = true
 			}
 			return len(ids), false
 		}
-		s.RunRound(q, r, nil, nil, emit)
+		round(s, q, r, nil, nil, emit)
 	}
 
 	cs := idx.NewSearcher()
 	rs := idx.NewSearcher()
-	rs.SetWindowRescan(true)
+	cursor, rescan := (*Searcher).RunRound, (*Searcher).runWindowsRescan
 	cseen := map[int]bool{}
 	rseen := map[int]bool{}
 	cs.Begin(q)
 	rs.Begin(q)
-	run(cs, 1.0, cseen)
-	run(rs, 1.0, rseen)
+	run(cs, cursor, 1.0, cseen)
+	run(rs, rescan, 1.0, rseen)
 
 	// Pause: a point lands exactly at the query. Both traversals must pick
 	// it up in the next round.
@@ -163,8 +306,8 @@ func TestCursorReArmMidQuery(t *testing.T) {
 	if cs.CursorReArms() != 0 {
 		t.Fatal("cursor re-armed before any mutation")
 	}
-	run(cs, 2.0, cseen)
-	run(rs, 2.0, rseen)
+	run(cs, cursor, 2.0, cseen)
+	run(rs, rescan, 2.0, rseen)
 	if cs.CursorReArms() != idx.cfg.L {
 		t.Fatalf("expected %d cursor re-arms (one per tree), got %d", idx.cfg.L, cs.CursorReArms())
 	}
@@ -211,24 +354,16 @@ func TestTraversalZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWideTreeFallsBackToRescan covers the exotic configuration the
-// cursor bitmasks cannot represent (MaxEntries > 64): the searcher must
-// silently run the window re-scan and still answer correctly.
-func TestWideTreeFallsBackToRescan(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+// TestWideTreePanics covers the configuration the cursor bitmasks cannot
+// represent (MaxEntries > 64): Build refuses it outright.
+func TestWideTreePanics(t *testing.T) {
 	data := vec.NewMatrix(300, 5)
-	for i := 0; i < 300; i++ {
-		for j := 0; j < 5; j++ {
-			data.Row(i)[j] = float32(rng.NormFloat64() * 8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Build accepted MaxEntries = 128")
 		}
-	}
-	idx := Build(data, Config{C: 1.5, K: 4, L: 2, T: 20, Seed: 2, Tree: rstar.Options{MaxEntries: 128}})
-	s := idx.NewSearcher()
-	s.SetWindowRescan(false) // must be a no-op: there are no cursors
-	res := s.KANN(data.Row(3), 5)
-	if len(res) != 5 || res[0].ID != 3 || res[0].Dist != 0 {
-		t.Fatalf("wide-tree fallback broken: %+v", res)
-	}
+	}()
+	Build(data, Config{C: 1.5, K: 4, L: 2, T: 20, Seed: 2, Tree: rstar.Options{MaxEntries: 128}})
 }
 
 // FuzzLadderEquivalence drives the cursor/re-scan differential with

@@ -44,8 +44,7 @@ func budgetedAlgos() []budgetedAlgo {
 	}
 	return []budgetedAlgo{
 		{"DB-LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
-			idx := core.Build(data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: t, Seed: p.Seed})
-			return func(q []float32, k int) []vec.Neighbor { return idx.KANN(q, k) }
+			return DBLSH(data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: t, Seed: p.Seed})
 		}},
 		{"FB-LSH", func(data *vec.Matrix, p Params, t int) SearchFunc {
 			return fblsh.Build(data, fblsh.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: t, Seed: p.Seed}).KANN

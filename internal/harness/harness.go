@@ -1,9 +1,9 @@
 // Package harness runs the paper's experiments end to end: it builds every
 // algorithm on a dataset profile, replays the query workload, and renders
 // the same rows and series the paper's Tables and Figures report. One
-// exported runner exists per experiment id (see DESIGN.md's experiment
-// index); the dblsh-bench command and the repository-level benchmarks are
-// thin wrappers over these runners.
+// exported runner exists per experiment id (fig4, table1, table4, fig5–7,
+// fig8, fig9–10); the dblsh-bench command and the repository-level
+// benchmarks are thin wrappers over these runners.
 package harness
 
 import (
@@ -24,6 +24,7 @@ import (
 	"dblsh/internal/dataset"
 	"dblsh/internal/eval"
 	"dblsh/internal/mathx"
+	"dblsh/internal/shard"
 	"dblsh/internal/vec"
 )
 
@@ -64,10 +65,7 @@ func StandardAlgos(p Params) []Algo {
 	budget := 2 * p.T * p.L
 	return []Algo{
 		{Name: "DB-LSH", Note: fmt.Sprintf("K·L=%d", p.K*p.L), Build: func(data *vec.Matrix) SearchFunc {
-			idx := core.Build(data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
-			return func(q []float32, k int) []vec.Neighbor {
-				return idx.KANN(q, k)
-			}
+			return DBLSH(data, core.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 		}},
 		{Name: "FB-LSH", Note: fmt.Sprintf("K·L=%d per level", p.K*p.L), Build: func(data *vec.Matrix) SearchFunc {
 			idx := fblsh.Build(data, fblsh.Config{C: p.C, W0: p.W0, K: p.K, L: p.L, T: p.T, Seed: p.Seed})
@@ -113,6 +111,18 @@ func StandardAlgos(p Params) []Algo {
 			idx := lsb.Build(data, lsb.Config{K: p.K, L: p.L, T: p.T, Seed: p.Seed})
 			return idx.KANN
 		}},
+	}
+}
+
+// DBLSH builds DB-LSH over data as a single-shard set, so the experiments
+// measure the code path the library serves queries through (shard 0 keeps
+// the base seed: its index is the one core.Build makes), and returns its
+// search function. It is safe for concurrent use.
+func DBLSH(data *vec.Matrix, cfg core.Config) SearchFunc {
+	set := shard.Build(data.Data(), data.Rows(), data.Dim(), 1, 0, cfg)
+	return func(q []float32, k int) []vec.Neighbor {
+		nbs, _, _ := set.Search(q, k, core.QueryParams{})
+		return nbs
 	}
 }
 

@@ -3,8 +3,9 @@
 // PM-LSH baseline: PM-LSH indexes the m-dimensional projected points with a
 // PM-tree and answers c-ANN by streaming projected-space nearest neighbors
 // and verifying them in the original space. This package provides the same
-// incremental nearest-neighbor code path; see DESIGN.md for the
-// PM-tree → ball-tree substitution rationale.
+// incremental nearest-neighbor code path: PM-LSH only consumes the ascending
+// projected-distance stream, which a ball tree yields just as a PM-tree does,
+// so the simpler tree stands in for it.
 package mtree
 
 import (

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,11 +11,18 @@ import (
 )
 
 // TestMutateDuringQuery hammers the cursor re-arm path: the coordinator
-// releases each shard's lock between ladder rounds, so Adds land mid-query
-// and the per-tree cursors must detect the mutation and re-arm instead of
-// silently missing the appended points. Run under -race this doubles as
-// the memory-safety net for cursors pinning tree snapshots across rounds.
+// releases each shard's lock between ladder rounds — a single-shard set's
+// included — so Adds land mid-query and the per-tree cursors must detect
+// the mutation and re-arm instead of silently missing the appended points.
+// Run under -race this doubles as the memory-safety net for cursors pinning
+// tree snapshots across rounds.
 func TestMutateDuringQuery(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { mutateDuringQuery(t, shards) })
+	}
+}
+
+func mutateDuringQuery(t *testing.T, shards int) {
 	const dim = 8
 	rng := rand.New(rand.NewSource(31))
 	n := 4000
@@ -22,7 +30,7 @@ func TestMutateDuringQuery(t *testing.T) {
 	for i := range flat {
 		flat[i] = float32(rng.NormFloat64() * 5)
 	}
-	s := Build(flat, n, dim, 4, 0, core.Config{C: 1.5, K: 4, L: 3, T: 20, Seed: 31})
+	s := Build(flat, n, dim, shards, 0, core.Config{C: 1.5, K: 4, L: 3, T: 20, Seed: 31})
 
 	stop := make(chan struct{})
 	var added atomic.Int64

@@ -16,7 +16,11 @@
 // independent ladders would each pay the full budget against a sparser
 // stripe — while holding each shard's lock only for its slice of a round,
 // so a search never waits for more than one in-flight mutation per shard
-// round.
+// round. This coordinator runs the library's only ladder loop: a
+// single-shard set runs the same loop with one shard (and shard 0 keeps the
+// base seed, so it is the index core.Build makes), releasing its lock
+// between rounds like any other shard. A fixed-radius query (SearchRadius)
+// is one such round, with one shared 2tL+1 budget.
 //
 // Within a round the per-shard traversals are independent, so a query can
 // fan them out across a bounded set-level worker pool (SetParallelism /
@@ -745,33 +749,22 @@ func (s *Set) checkQuery(q []float32, k int) {
 	}
 }
 
-// withLocalFilter rewrites a global-id filter into the shard's local ids.
-func withLocalFilter(p core.QueryParams, globals []int) core.QueryParams {
-	if p.Filter == nil {
-		return p
+// localFilter rewrites a global-id filter into the shard's local ids.
+func localFilter(keep func(int) bool, globals []int) func(int) bool {
+	if keep == nil {
+		return nil
 	}
-	keep := p.Filter
-	q := p
-	q.Filter = func(local int) bool { return keep(globals[local]) }
-	return q
-}
-
-// mapNeighbors translates local-id results to global ids into a new slice.
-func mapNeighbors(nbs []vec.Neighbor, globals []int) []vec.Neighbor {
-	out := make([]vec.Neighbor, len(nbs))
-	for i, nb := range nbs {
-		out[i] = vec.Neighbor{ID: globals[nb.ID], Dist: nb.Dist}
-	}
-	return out
+	return func(local int) bool { return keep(globals[local]) }
 }
 
 // Searcher is a reusable query context holding one core searcher per shard.
-// It must be used from one goroutine at a time. On a multi-shard set a
-// query runs the radius ladder round-synchronized: every shard executes the
-// same round r, cr, c²r, … under its own read lock, the per-round
-// candidates merge into one global top-k, and the budget (2tL+k) and the
-// termination test apply to that merged state — the paper's work profile,
-// partitioned, instead of S independent full-cost ladders.
+// It must be used from one goroutine at a time. A query runs the radius
+// ladder round-synchronized: every shard executes the same round r, cr,
+// c²r, … under its own read lock, the per-round candidates merge into one
+// global top-k, and the budget (2tL+k) and the termination test apply to
+// that merged state — the paper's work profile, partitioned, instead of S
+// independent full-cost ladders. One shard is the degenerate case of the
+// same loop.
 type Searcher struct {
 	set  *Set
 	per  []*core.Searcher
@@ -786,6 +779,14 @@ type Searcher struct {
 	seenG  map[int]bool  // global-id dedup across a mid-query index swap
 	carry  []carryStats  // per shard: counters of searchers discarded mid-query
 	arenas []gatherArena // per shard: parallel-round gather buffers
+
+	// The merged ladder state of the current query (see take): the global
+	// top-k, the shared budget, candidates consumed so far, and the
+	// termination multiplier EarlyStopFactor·c.
+	cand   *vec.TopK
+	budget int
+	cnt    int
+	stopC  float64
 }
 
 // carryStats holds the traversal counters of a core searcher that a
@@ -854,20 +855,7 @@ func (sr *Searcher) LastStats() core.Stats { return sr.last }
 // Search answers a (c,k)-ANN query. A non-nil error (context expiry) still
 // comes with the best candidates found before cancellation.
 func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
-	s := sr.set
-	s.checkQuery(q, k)
-	if len(s.shards) == 1 {
-		// Single shard: the classic one-index ladder, bit-identical to the
-		// unsharded library.
-		st := s.shards[0]
-		st.mu.RLock()
-		cs := sr.searcherFor(0)
-		nbs, err := cs.KANNParams(q, k, withLocalFilter(p, st.globals))
-		sr.last = cs.LastStats()
-		mapped := mapNeighbors(nbs, st.globals)
-		st.mu.RUnlock()
-		return mapped, err
-	}
+	sr.set.checkQuery(q, k)
 	return sr.searchCoordinated(q, k, p)
 }
 
@@ -875,14 +863,13 @@ func (sr *Searcher) Search(q []float32, k int, p core.QueryParams) ([]vec.Neighb
 // shards: one shared radius schedule, one merged top-k, one budget, one
 // termination test. Shard locks are taken per round, so a mutation waits at
 // most one round and a search waits at most one mutation per shard round.
+// It is the library's only radius-ladder loop.
 func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([]vec.Neighbor, error) {
 	s := sr.set
 	t, stopFactor := p.Resolve(s.cfg)
-	stopC := stopFactor * s.cfg.C
-	budget := 2*t*s.cfg.L + k
-	if p.Budget > 0 {
-		budget = p.Budget // same absolute-override semantics as core
-	}
+	sr.stopC = stopFactor * s.cfg.C
+	sr.budget = 2*t*s.cfg.L + k
+	sr.cnt = 0
 	c := s.cfg.C
 
 	sr.last = core.Stats{}
@@ -916,25 +903,20 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 		return nil, nil
 	}
 
-	cand := vec.NewTopK(k)
-	cnt := 0
+	sr.cand = vec.NewTopK(k)
 	par := s.resolveParallelism(p.Parallelism)
 	round := func(r float64, sweep bool) (done, covered bool) {
 		if par > 1 {
-			cnt, done, covered = sr.runRoundParallel(q, r, p, cand, budget, cnt, stopC, sweep, par)
-		} else {
-			cnt, done, covered = sr.runRound(q, r, p, cand, budget, cnt, stopC, sweep)
+			return sr.runRoundParallel(q, r, p.Filter, sweep, par)
 		}
-		return done, covered
+		return sr.runRound(q, r, p.Filter, sweep)
 	}
 	for {
 		if p.MaxRadius > 0 && r > p.MaxRadius {
 			break
 		}
 		if p.Cancelled() {
-			sr.last.Candidates = cnt
-			sr.finishTraversalStats()
-			return cand.Results(), p.Ctx.Err()
+			return sr.finish(p.Ctx.Err())
 		}
 		sr.last.Rounds++
 		done, covered := round(r, false)
@@ -942,10 +924,10 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 		if done {
 			break
 		}
-		if worst, full := cand.Worst(); full && worst <= stopC*r {
+		if worst, full := sr.cand.Worst(); full && worst <= sr.stopC*r {
 			break
 		}
-		if cnt >= live {
+		if sr.cnt >= live {
 			break // every live point verified: the result is exact
 		}
 		r *= c
@@ -960,17 +942,17 @@ func (sr *Searcher) searchCoordinated(q []float32, k int, p core.QueryParams) ([
 			break
 		}
 	}
-	sr.last.Candidates = cnt
-	sr.finishTraversalStats()
-	return cand.Results(), nil
+	return sr.finish(nil)
 }
 
-// finishTraversalStats folds the per-shard searchers' traversal and
-// pre-filter counters into the merged stats: nodes visited and quantized
-// pre-filter activity across every shard's trees (including searchers a
-// mid-query compaction swap discarded), and the residual frontier size of
-// every cursor the query armed.
-func (sr *Searcher) finishTraversalStats() {
+// finish completes the query's stats and returns the merged results with
+// err. Beyond the candidate count it folds in the per-shard traversal and
+// pre-filter counters: nodes visited and quantized pre-filter activity
+// across every shard's trees (including searchers a mid-query compaction
+// swap discarded), and the residual frontier size of every cursor the
+// query armed.
+func (sr *Searcher) finish(err error) ([]vec.Neighbor, error) {
+	sr.last.Candidates = sr.cnt
 	for i := range sr.set.shards {
 		sr.last.NodesVisited += sr.carry[i].nodes
 		sr.last.QuantPruned += sr.carry[i].quantPruned
@@ -983,62 +965,84 @@ func (sr *Searcher) finishTraversalStats() {
 			sr.last.Frontier += sr.per[i].FrontierLen()
 		}
 	}
+	return sr.cand.Results(), err
+}
+
+// take merges one verified candidate — global id g at distance d — into
+// the query's state: the per-candidate accounting both round paths share.
+// A global id already consumed is skipped (a compaction swapping a shard
+// mid-query resets that shard's visited stamps); any other candidate enters
+// the top-k and is charged to the budget. It reports whether the query is
+// finished: the budget is spent or, on a ladder round at radius r, the k-th
+// best is within EarlyStopFactor·c·r (the final sweep is bounded by the
+// budget alone).
+func (sr *Searcher) take(g int, d, r float64, sweep bool) bool {
+	if sr.seenG[g] {
+		return false
+	}
+	sr.seenG[g] = true
+	sr.cand.Push(g, d)
+	sr.cnt++
+	if sr.cnt >= sr.budget {
+		return true
+	}
+	w, full := sr.cand.Worst()
+	return !sweep && full && w <= sr.stopC*r
+}
+
+// worst returns the merged top-k's current k-th best distance, or +Inf
+// while the heap is still filling: the early-abandon bound of the rounds.
+func (sr *Searcher) worst() float64 {
+	if w, full := sr.cand.Worst(); full {
+		return w
+	}
+	return math.Inf(1)
+}
+
+// armed returns shard i's core searcher for the current query, calling
+// Begin the first time the query reaches the shard (or a compaction's
+// replacement index). Callers hold the shard's lock.
+//
+// dblsh:locked mu
+func (sr *Searcher) armed(i int, q []float32) *core.Searcher {
+	cs := sr.searcherFor(i)
+	if !sr.began[i] {
+		cs.Begin(q)
+		sr.began[i] = true
+	}
+	return cs
 }
 
 // runRound executes one ladder round (or the final sweep) across the
 // shards in order, verifying candidates straight into the global top-k
 // exactly as a monolithic index spends its budget across its L trees: the
 // core hands candidates over in batched-kernel-verified blocks (pruned
-// against the global k-th best via worst), and the budget and (for ladder
-// rounds) the early-termination test are consulted per candidate within
-// each block, so the round stops mid-block the moment either fires and no
+// against the global k-th best via worst), and take applies the budget and
+// (for ladder rounds) the early-termination test per candidate within each
+// block, so the round stops mid-block the moment either fires and no
 // shard's share of the budget is wasted when the live data is skewed.
 // Visit order is fixed, so results are deterministic; a shard's lock is
 // held only for its slice of the round. This sequential path is the
 // reference the parallel fan-out (runRoundParallel) must match
-// bit-for-bit. It returns the updated candidate count, whether the query
-// is finished, and whether every shard's window at the next radius r·C
-// covers its whole projected stripe (checked under the same lock hold, so
-// a round never takes a shard's lock twice; meaningful only when the query
-// is not finished and the round was not a sweep).
-func (sr *Searcher) runRound(q []float32, r float64, p core.QueryParams, cand *vec.TopK, budget, cnt int, stopC float64, sweep bool) (int, bool, bool) {
+// bit-for-bit. It reports whether the query is finished, and whether every
+// shard's window at the next radius r·C covers its whole projected stripe
+// (checked under the same lock hold, so a round never takes a shard's lock
+// twice; meaningful only when the query is not finished and the round was
+// not a sweep).
+func (sr *Searcher) runRound(q []float32, r float64, filter func(int) bool, sweep bool) (done, covered bool) {
 	s := sr.set
-	done := false
-	covered := !sweep
-	worst := func() float64 {
-		if w, full := cand.Worst(); full {
-			return w
-		}
-		return math.Inf(1)
-	}
+	covered = !sweep
 	for i, st := range s.shards {
 		if done {
 			covered = false
 			break
 		}
 		st.mu.RLock()
-		cs := sr.searcherFor(i)
-		if !sr.began[i] {
-			cs.Begin(q)
-			sr.began[i] = true
-		}
-		lp := withLocalFilter(p, st.globals)
+		cs := sr.armed(i, q)
+		lf := localFilter(filter, st.globals)
 		emit := func(ids []int, dists []float64) (int, bool) {
 			for j, id := range ids {
-				g := st.globals[id]
-				if sr.seenG[g] {
-					// A compaction swapping this shard mid-query reset its
-					// visited stamps; don't count the same point twice.
-					continue
-				}
-				sr.seenG[g] = true
-				cand.Push(g, dists[j])
-				cnt++
-				if cnt >= budget {
-					done = true
-					return j + 1, true
-				}
-				if w, full := cand.Worst(); !sweep && full && w <= stopC*r {
+				if sr.take(st.globals[id], dists[j], r, sweep) {
 					done = true
 					return j + 1, true
 				}
@@ -1046,36 +1050,34 @@ func (sr *Searcher) runRound(q []float32, r float64, p core.QueryParams, cand *v
 			return len(ids), false
 		}
 		if sweep {
-			cs.Sweep(q, lp.Filter, worst, emit)
+			cs.Sweep(q, lf, sr.worst, emit)
 		} else {
-			cs.RunRound(q, r, lp.Filter, worst, emit)
+			cs.RunRound(q, r, lf, sr.worst, emit)
 			covered = covered && !done && cs.Covers(r*s.cfg.C)
 		}
 		st.mu.RUnlock()
 	}
-	return cnt, done, covered
+	return done, covered
 }
 
 // runRoundParallel executes one ladder round (or the final sweep) with the
 // per-shard visits fanned out across the set's bounded worker pool, then
-// merges the gathered candidates in fixed shard order. The merge applies
-// the cross-swap dedup, the global budget and (for ladder rounds) the
-// early-termination test candidate by candidate, exactly as runRound does,
-// so it replays the sequential consume sequence and every downstream ladder
-// decision — and therefore the result set — is bit-identical to the
-// sequential path's. Each gather prunes against the top-k bound frozen at
-// round entry (sound: a stale bound is only ever looser, see the package
-// comment) and self-caps at the round's remaining budget in fresh
-// candidates — the most the merge could possibly consume from one shard —
-// which also keeps a parallel sweep from verifying whole stripes the
-// budget could never pay for. Return values are runRound's.
-func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams, cand *vec.TopK, budget, cnt int, stopC float64, sweep bool, par int) (int, bool, bool) {
+// merges the gathered candidates through take in fixed shard order. It
+// thereby replays the sequential consume sequence, so every downstream
+// ladder decision — and therefore the result set — is bit-identical to the
+// sequential path's. runRound stays a separate path because a width-1
+// gather could not stop on the termination test mid-round: it would
+// over-gather wherever runRound stops early. Each gather prunes
+// against the top-k bound frozen at round entry (sound: a stale bound is
+// only ever looser, see the package comment) and self-caps at the round's
+// remaining budget in fresh candidates — the most the merge could possibly
+// consume from one shard — which also keeps a parallel sweep from
+// verifying whole stripes the budget could never pay for. Return values
+// are runRound's.
+func (sr *Searcher) runRoundParallel(q []float32, r float64, filter func(int) bool, sweep bool, par int) (done, covered bool) {
 	s := sr.set
-	bound := math.Inf(1)
-	if w, full := cand.Worst(); full {
-		bound = w
-	}
-	remaining := budget - cnt
+	bound := sr.worst()
+	remaining := sr.budget - sr.cnt
 	if sr.arenas == nil {
 		sr.arenas = make([]gatherArena, len(s.shards))
 	}
@@ -1091,7 +1093,7 @@ func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams,
 			if i >= len(s.shards) {
 				return
 			}
-			sr.gatherShard(i, q, r, p, bound, remaining, sweep)
+			sr.gatherShard(i, q, r, filter, bound, remaining, sweep)
 		}
 	}
 	// The coordinator gathers inline without a token, so the round makes
@@ -1117,8 +1119,7 @@ func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams,
 	gather()
 	wg.Wait()
 
-	done := false
-	covered := !sweep
+	covered = !sweep
 	var straggler int64
 	for i := range s.shards {
 		a := &sr.arenas[i]
@@ -1130,17 +1131,7 @@ func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams,
 			continue
 		}
 		for j, g := range a.ids {
-			if sr.seenG[g] {
-				continue
-			}
-			sr.seenG[g] = true
-			cand.Push(g, a.dists[j])
-			cnt++
-			if cnt >= budget {
-				done = true
-				break
-			}
-			if w, full := cand.Worst(); !sweep && full && w <= stopC*r {
+			if sr.take(g, a.dists[j], r, sweep) {
 				done = true
 				break
 			}
@@ -1148,7 +1139,7 @@ func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams,
 	}
 	sr.last.ParallelRounds++
 	sr.last.StragglerNanos += straggler
-	return cnt, done, covered && !done
+	return done, covered && !done
 }
 
 // gatherShard runs shard i's slice of one parallel round under the shard's
@@ -1159,7 +1150,7 @@ func (sr *Searcher) runRoundParallel(q []float32, r float64, p core.QueryParams,
 // un-consumed in the cursor (flushBlock's contract), and candidates left
 // unmerged cannot leak into later rounds because any merge stop ends the
 // whole query.
-func (sr *Searcher) gatherShard(i int, q []float32, r float64, p core.QueryParams, bound float64, limit int, sweep bool) {
+func (sr *Searcher) gatherShard(i int, q []float32, r float64, filter func(int) bool, bound float64, limit int, sweep bool) {
 	s := sr.set
 	st := s.shards[i]
 	a := &sr.arenas[i]
@@ -1168,12 +1159,8 @@ func (sr *Searcher) gatherShard(i int, q []float32, r float64, p core.QueryParam
 	a.covered = false
 	start := time.Now()
 	st.mu.RLock()
-	cs := sr.searcherFor(i)
-	if !sr.began[i] {
-		cs.Begin(q)
-		sr.began[i] = true
-	}
-	lp := withLocalFilter(p, st.globals)
+	cs := sr.armed(i, q)
+	lf := localFilter(filter, st.globals)
 	fresh := 0
 	emit := func(ids []int, dists []float64) (int, bool) {
 		for j, id := range ids {
@@ -1190,53 +1177,61 @@ func (sr *Searcher) gatherShard(i int, q []float32, r float64, p core.QueryParam
 	}
 	worst := func() float64 { return bound }
 	if sweep {
-		cs.Sweep(q, lp.Filter, worst, emit)
+		cs.Sweep(q, lf, worst, emit)
 	} else {
-		cs.RunRound(q, r, lp.Filter, worst, emit)
+		cs.RunRound(q, r, lf, worst, emit)
 		a.covered = cs.Covers(r * s.cfg.C)
 	}
 	st.mu.RUnlock()
 	a.nanos = time.Since(start).Nanoseconds()
 }
 
-// SearchRadius answers a single (r,c)-NN round (Algorithm 1), probing the
-// shards in order with one shared candidate budget (2tL+1 in total, not
-// per shard) and returning the first qualifying point — the same "any
-// point within c·r" contract, early exit and worst-case work profile as
-// the single-index primitive.
+// SearchRadius answers a single (r,c)-NN round (Algorithm 1). The shards
+// run their round at radius r in order — Begin, then one RunRound with
+// exact distances (no early-abandon bound: the budget-exhausting candidate
+// is returned with its distance, and a hit in an early tree stops the
+// round before later trees are walked) — spending one shared candidate
+// budget, 2tL+1 in total rather than per shard. It returns the first candidate
+// within c·r, else the budget-exhausting candidate, else ok = false once
+// every window completes without either.
 func (sr *Searcher) SearchRadius(q []float32, r float64, p core.QueryParams) (vec.Neighbor, bool, error) {
 	s := sr.set
 	s.checkQuery(q, 1)
 	t, _ := p.Resolve(s.cfg)
-	remaining := 2*t*s.cfg.L + 1
-	agg := core.Stats{Rounds: 1, FinalR: r}
+	budget := 2*t*s.cfg.L + 1
+	cr := s.cfg.C * r
+	sr.last = core.Stats{Rounds: 1, FinalR: r}
+	var found vec.Neighbor
+	ok := false
 	for i, st := range s.shards {
-		if remaining <= 0 {
-			break
+		if p.Cancelled() {
+			return vec.Neighbor{}, false, p.Ctx.Err()
 		}
 		st.mu.RLock()
 		cs := sr.searcherFor(i)
-		lp := withLocalFilter(p, st.globals)
-		lp.Budget = remaining
-		nb, ok, err := cs.RNearParams(q, r, lp)
-		if ok {
-			nb.ID = st.globals[nb.ID]
+		cs.Begin(q)
+		lf := localFilter(p.Filter, st.globals)
+		emit := func(ids []int, dists []float64) (int, bool) {
+			for j, id := range ids {
+				sr.last.Candidates++
+				if sr.last.Candidates >= budget || dists[j] <= cr {
+					found, ok = vec.Neighbor{ID: st.globals[id], Dist: dists[j]}, true
+					return j + 1, true
+				}
+			}
+			return len(ids), false
 		}
+		cs.RunRound(q, r, lf, nil, emit)
 		cst := cs.LastStats()
-		spent := cst.Candidates
-		agg.NodesVisited += cst.NodesVisited
-		agg.QuantPruned += cst.QuantPruned
-		agg.QuantSwept += cst.QuantSwept
+		sr.last.NodesVisited += cst.NodesVisited
+		sr.last.QuantPruned += cst.QuantPruned
+		sr.last.QuantSwept += cst.QuantSwept
 		st.mu.RUnlock()
-		agg.Candidates += spent
-		remaining -= spent
-		if err != nil || ok {
-			sr.last = agg
-			return nb, ok, err
+		if ok {
+			break
 		}
 	}
-	sr.last = agg
-	return vec.Neighbor{}, false, nil
+	return found, ok, nil
 }
 
 // Search answers a single (c,k)-ANN query through a pooled searcher.

@@ -9,6 +9,7 @@ package dblsh
 
 import (
 	"fmt"
+	"math"
 
 	"dblsh/internal/metric"
 	"dblsh/internal/vec"
@@ -91,6 +92,26 @@ func (idx *Index) checkQueryDim(q []float32) {
 	if len(q) != idx.dim {
 		panic(fmt.Sprintf("dblsh: query dim %d, index dim %d", len(q), idx.dim))
 	}
+}
+
+// checkQuery enforces the dimensionality panic contract, then rejects a
+// query with a non-finite component.
+func (idx *Index) checkQuery(q []float32) error {
+	idx.checkQueryDim(q)
+	return checkFinite(q)
+}
+
+// checkFinite returns an error wrapping ErrInvalidVector when v has a NaN or
+// ±Inf component: distances to such a vector are meaningless, and a stored
+// one would widen the quantizer's fitted range until the pre-filter prunes
+// nothing.
+func checkFinite(v []float32) error {
+	for j, x := range v {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("%w: component %d is %v", ErrInvalidVector, j, x)
+		}
+	}
+	return nil
 }
 
 // transformQuery maps a user query into the internal space, reusing buf.

@@ -186,7 +186,8 @@ func statsFromCore(st core.Stats) Stats {
 }
 
 // SearchOpts is Search with per-query options. The error is non-nil when an
-// option is invalid or the query's context expires; a context error still
+// option is invalid, the query has a NaN or ±Inf component (wrapping
+// ErrInvalidVector), or the query's context expires; a context error still
 // comes with the best results found before cancellation. Like Search, it
 // panics if len(q) != Dim() or k <= 0.
 func (idx *Index) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result, error) {
@@ -196,6 +197,9 @@ func (idx *Index) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Result
 	}
 	if set.batchStats != nil {
 		return nil, errBatchStatsScope
+	}
+	if err := idx.checkQuery(q); err != nil {
+		return nil, err
 	}
 	if err := idx.internalMaxRadius(q, &set); err != nil {
 		return nil, err
@@ -217,6 +221,9 @@ func (s *Searcher) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Resul
 	if set.batchStats != nil {
 		return nil, errBatchStatsScope
 	}
+	if err := s.idx.checkQuery(q); err != nil {
+		return nil, err
+	}
 	if err := s.idx.internalMaxRadius(q, &set); err != nil {
 		return nil, err
 	}
@@ -232,7 +239,8 @@ func (s *Searcher) SearchOpts(q []float32, k int, opts ...SearchOption) ([]Resul
 // ladder-shaping options (WithEarlyStop, WithMaxRadius) are ignored because
 // a fixed-radius query runs a single round. The radius is in the index's
 // metric (Euclidean distance, or cosine distance in [0,2]); under
-// InnerProduct a radius has no meaning and an error is returned.
+// InnerProduct a radius has no meaning and an error is returned. A query
+// with a NaN or ±Inf component returns an error wrapping ErrInvalidVector.
 func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption) (Result, bool, error) {
 	set, err := applySearchOptions(opts)
 	if err != nil {
@@ -240,6 +248,9 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 	}
 	if set.batchStats != nil {
 		return Result{}, false, errBatchStatsScope
+	}
+	if err := s.idx.checkQuery(q); err != nil {
+		return Result{}, false, err
 	}
 	ir, err := s.idx.met.InternalRadius(q, r)
 	if err != nil {
@@ -260,8 +271,10 @@ func (s *Searcher) SearchRadiusOpts(q []float32, r float64, opts ...SearchOption
 // every query in the batch. Queries run in parallel across GOMAXPROCS
 // workers, each with its own Searcher; results[i] corresponds to queries[i].
 // On context expiry the queries already answered keep their results, the
-// rest are nil, and the context's error is returned. It is safe to run
-// concurrently with Add and Delete; shard locks are taken per ladder
+// rest are nil, and the context's error is returned. A query with a NaN or
+// ±Inf component is not run: its slot stays nil, the other queries are
+// still answered, and the returned error wraps ErrInvalidVector. It is safe
+// to run concurrently with Add and Delete; shard locks are taken per ladder
 // round, so mutations interleave between rounds and a query may observe
 // vectors added while it runs.
 func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOption) ([][]Result, error) {
@@ -272,27 +285,39 @@ func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOpti
 	if err := idx.internalMaxRadius(nil, &set); err != nil {
 		return nil, err
 	}
+	// pos[j] is the batch slot of the j-th query that is run.
+	var invalid error
+	pos := make([]int, 0, len(queries))
+	for i, q := range queries {
+		if err := idx.checkQuery(q); err != nil {
+			if invalid == nil {
+				invalid = fmt.Errorf("query %d: %w", i, err)
+			}
+			continue
+		}
+		pos = append(pos, i)
+	}
 	internal := queries
-	if idx.met.Kind() != metric.Euclidean {
-		internal = make([][]float32, len(queries))
-		for i, q := range queries {
-			internal[i] = idx.transformQuery(new([]float32), q)
+	if invalid != nil || idx.met.Kind() != metric.Euclidean {
+		internal = make([][]float32, len(pos))
+		for j, i := range pos {
+			internal[j] = idx.transformQuery(new([]float32), queries[i])
 		}
 	}
 	nbs, coreStats, firstErr := idx.set.SearchBatch(internal, k, set.p)
 	out := make([][]Result, len(queries))
-	for i, n := range nbs {
+	for j, n := range nbs {
 		if n == nil {
 			continue // not answered: keep the nil marker
 		}
-		out[i] = idx.userResults(queries[i], n)
+		out[pos[j]] = idx.userResults(queries[pos[j]], n)
 	}
 
 	var per []Stats
 	if set.batchStats != nil || set.stats != nil {
 		per = make([]Stats, len(queries))
-		for i, st := range coreStats {
-			per[i] = statsFromCore(st)
+		for j, st := range coreStats {
+			per[pos[j]] = statsFromCore(st)
 		}
 	}
 	if set.batchStats != nil {
@@ -315,5 +340,5 @@ func (idx *Index) SearchBatchOpts(queries [][]float32, k int, opts ...SearchOpti
 		}
 		*set.stats = agg
 	}
-	return out, firstErr
+	return out, errors.Join(invalid, firstErr)
 }

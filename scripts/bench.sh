@@ -16,7 +16,8 @@
 # distance-kernel microbenchmarks (including the quantized pre-filter
 # variants), the sequential-vs-parallel sharded search matrix
 # (BenchmarkSearchSharded's shards × {seq,par} grid), the traversal-only
-# allocation benchmark, and the cursor-vs-rescan ladder head-to-head. The
+# allocation benchmark, and the cursor-vs-rescan ladder head-to-head (the
+# re-scan side is internal/core's test-only oracle). The
 # loadgen half builds dblsh-server and dblsh-loadgen, starts a durable
 # 8-shard server on a temp data dir, and drives it closed-loop — so the
 # recorded numbers include HTTP, admission and WAL overhead, not just the
