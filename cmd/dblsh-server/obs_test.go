@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +83,8 @@ func TestMetricsExposition(t *testing.T) {
 		`dblsh_admission_inflight`,
 		`dblsh_admission_queue_depth 0`,
 		`dblsh_vectors_resident 20`,
+		`dblsh_wal_replay_records 0`,
+		`dblsh_wal_replay_seconds `,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -95,6 +98,53 @@ func TestMetricsExposition(t *testing.T) {
 		if strings.Contains(out, "dblsh_wal_fsyncs_total 0\n") {
 			t.Error("dblsh_wal_fsyncs_total is 0 after 20 SyncAlways appends")
 		}
+	}
+}
+
+// TestMetricsReplayGauges reopens a store whose log holds records past the
+// checkpoint: the replay gauges must report how many records this
+// process's Open re-applied and how long that took.
+func TestMetricsReplayGauges(t *testing.T) {
+	dir := t.TempDir()
+	opts := dblsh.Options{Dim: 16, K: 6, L: 3, T: 20, Seed: 4}
+	first, err := dblsh.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := make([]float32, 16)
+	for i := 0; i < 7; i++ {
+		vec[0] = float32(i)
+		if _, err := first.Add(vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := dblsh.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	ts := httptest.NewServer(newServer(idx, serverConfig{maxInflight: 4, maxQueue: 4}).handler())
+	t.Cleanup(ts.Close)
+
+	out := scrape(t, ts)
+	if !strings.Contains(out, "dblsh_wal_replay_records 7\n") {
+		t.Errorf("/metrics does not report 7 replayed records:\n%s", out)
+	}
+	var secs float64
+	found := false
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "dblsh_wal_replay_seconds "); ok {
+			if secs, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatalf("dblsh_wal_replay_seconds value %q: %v", v, err)
+			}
+			found = true
+		}
+	}
+	if !found || !(secs > 0) || secs > 60 {
+		t.Errorf("dblsh_wal_replay_seconds = %v (found %v), want a positive wall time", secs, found)
 	}
 }
 

@@ -152,9 +152,10 @@ type durable struct {
 	// Replay statistics, written once during Open (before the index is
 	// published) and read-only afterwards — scrape-time gauge funcs read
 	// them without a lock.
-	replaySegments int // log segments replayed at Open (rotated + active)
-	replayRecords  int // records re-applied on top of the checkpoint
-	replayTorn     int // segments whose torn tail was dropped
+	replaySegments int     // log segments replayed at Open (rotated + active)
+	replayRecords  int     // records re-applied on top of the checkpoint
+	replayTorn     int     // segments whose torn tail was dropped
+	replaySeconds  float64 // wall time of the replay (every segment)
 
 	// walM is copied onto every log segment writer (the active one and
 	// each rotation's replacement) so append/fsync metrics survive
@@ -236,6 +237,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	replayed, replaySegments, replayTorn := 0, 0, 0
+	replayStart := time.Now()
 	for _, p := range olds {
 		// A torn tail here is the unsynced end of a segment orphaned by a
 		// crash mid-checkpoint: the lost records were never acknowledged
@@ -264,6 +266,7 @@ func Open(dir string, opts Options) (*Index, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("dblsh: replay %s: %w", walPath, err)
 	}
+	replaySeconds := time.Since(replayStart).Seconds()
 	// Truncate the torn tail (if any) so new frames append after the last
 	// intact record.
 	log, err := wal.OpenWriter(walPath, goodOffset)
@@ -285,6 +288,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		replaySegments: replaySegments,
 		replayRecords:  replayed,
 		replayTorn:     replayTorn,
+		replaySeconds:  replaySeconds,
 		stop:           make(chan struct{}),
 	}
 	idx.dur = d

@@ -2,7 +2,7 @@ package rstar
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dblsh/internal/vec"
 )
@@ -24,9 +24,7 @@ func BulkLoad(data *vec.Matrix, opts Options) *Tree {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	leaves := t.packLeaves(ids)
-	t.root = t.packUpward(leaves)
-	t.size = n
+	t.load(ids)
 	return t
 }
 
@@ -40,17 +38,23 @@ func BulkLoadIDs(data *vec.Matrix, ids []int, opts Options) *Tree {
 	for i, id := range ids {
 		ids32[i] = int32(id)
 	}
-	leaves := t.packLeaves(ids32)
-	t.root = t.packUpward(leaves)
-	t.size = len(ids)
+	t.load(ids32)
 	return t
+}
+
+// load packs ids into a fresh tree: STR leaves, then internal levels.
+func (t *Tree) load(ids []int32) {
+	t.root = t.packUpward(t.packLeaves(ids))
+	t.size = len(ids)
+	t.keys32 = nil // sized for the whole load; inserts need only M+1
 }
 
 // packLeaves tiles the id set into leaf nodes with STR.
 func (t *Tree) packLeaves(ids []int32) []*node {
 	cap := t.opts.MaxEntries
 	var leaves []*node
-	t.strTile(ids, 0, cap, func(chunk []int32) {
+	coord := func(id int32, axis int) float32 { return t.point(id)[axis] }
+	t.strTile(ids, coord, 0, cap, func(chunk []int32) {
 		leaf := &node{leaf: true, level: 0, ids: append([]int32(nil), chunk...)}
 		t.recomputeLeafRect(leaf)
 		t.finalizeLeaf(leaf)
@@ -59,10 +63,11 @@ func (t *Tree) packLeaves(ids []int32) []*node {
 	return leaves
 }
 
-// strTile recursively sorts ids by successive axes and partitions them into
-// slabs so that the final chunks have at most chunkSize entries (classic STR:
-// with P pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per axis).
-func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
+// strTile recursively sorts ids by successive axes of coord and partitions
+// them into slabs so that the final chunks have at most chunkSize entries
+// (classic STR: with P pages and k remaining dims, use ⌈P^(1/k)⌉ slabs per
+// axis). Each sort extracts its keys once (see sortByAxis).
+func (t *Tree) strTile(ids []int32, coord func(id int32, axis int) float32, axis, chunkSize int, emit func([]int32)) {
 	if len(ids) <= chunkSize {
 		emit(ids)
 		return
@@ -70,7 +75,7 @@ func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
 	remDims := t.dim - axis
 	if remDims <= 1 {
 		// Last axis: sort and emit fixed-size runs.
-		t.sortIDsByAxis(ids, axis)
+		t.sortByAxis(ids, coord, axis)
 		for lo := 0; lo < len(ids); lo += chunkSize {
 			hi := lo + chunkSize
 			if hi > len(ids) {
@@ -90,13 +95,26 @@ func (t *Tree) strTile(ids []int32, axis, chunkSize int, emit func([]int32)) {
 	if rem := perSlab % chunkSize; rem != 0 {
 		perSlab += chunkSize - rem
 	}
-	t.sortIDsByAxis(ids, axis)
+	t.sortByAxis(ids, coord, axis)
 	for lo := 0; lo < len(ids); lo += perSlab {
 		hi := lo + perSlab
 		if hi > len(ids) {
 			hi = len(ids)
 		}
-		t.strTile(ids[lo:hi], axis+1, chunkSize, emit)
+		t.strTile(ids[lo:hi], coord, axis+1, chunkSize, emit)
+	}
+}
+
+// sortByAxis sorts ids ascending by coord(id, axis), with the permutation
+// sort.Slice would apply (see keyed).
+func (t *Tree) sortByAxis(ids []int32, coord func(id int32, axis int) float32, axis int) {
+	ks := t.keyBuf32(len(ids))
+	for i, id := range ids {
+		ks[i] = keyed[float32]{coord(id, axis), id}
+	}
+	slices.SortFunc(ks, cmpKey[float32])
+	for i := range ks {
+		ids[i] = ks[i].idx
 	}
 }
 
@@ -113,66 +131,22 @@ func (t *Tree) packUpward(nodes []*node) *node {
 
 func (t *Tree) packLevel(nodes []*node, level int) []*node {
 	cap := t.opts.MaxEntries
-	centers := make([][]float32, len(nodes))
+	dim := t.dim
+	centers := make([]float32, len(nodes)*dim)
+	order := make([]int32, len(nodes))
 	for i, n := range nodes {
-		centers[i] = n.rect.Center(nil)
+		n.rect.Center(centers[i*dim : (i+1)*dim])
+		order[i] = int32(i)
 	}
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	var groups [][]int
-	t.strTileGeneric(order, centers, 0, cap, func(chunk []int) {
-		groups = append(groups, append([]int(nil), chunk...))
-	})
-	out := make([]*node, 0, len(groups))
-	for _, g := range groups {
-		parent := &node{level: level, children: make([]*node, 0, len(g))}
-		for _, idx := range g {
+	center := func(i int32, axis int) float32 { return centers[int(i)*dim+axis] }
+	var out []*node
+	t.strTile(order, center, 0, cap, func(chunk []int32) {
+		parent := &node{level: level, children: make([]*node, 0, len(chunk))}
+		for _, idx := range chunk {
 			parent.children = append(parent.children, nodes[idx])
 		}
 		recomputeRect(parent)
 		out = append(out, parent)
-	}
-	return out
-}
-
-func (t *Tree) strTileGeneric(order []int, centers [][]float32, axis, chunkSize int, emit func([]int)) {
-	if len(order) <= chunkSize {
-		emit(order)
-		return
-	}
-	remDims := t.dim - axis
-	if remDims <= 1 {
-		sort.Slice(order, func(a, b int) bool {
-			return centers[order[a]][axis] < centers[order[b]][axis]
-		})
-		for lo := 0; lo < len(order); lo += chunkSize {
-			hi := lo + chunkSize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			emit(order[lo:hi])
-		}
-		return
-	}
-	pages := (len(order) + chunkSize - 1) / chunkSize
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(remDims))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	perSlab := (len(order) + slabs - 1) / slabs
-	if rem := perSlab % chunkSize; rem != 0 {
-		perSlab += chunkSize - rem
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return centers[order[a]][axis] < centers[order[b]][axis]
 	})
-	for lo := 0; lo < len(order); lo += perSlab {
-		hi := lo + perSlab
-		if hi > len(order) {
-			hi = len(order)
-		}
-		t.strTileGeneric(order[lo:hi], centers, axis+1, chunkSize, emit)
-	}
+	return out
 }

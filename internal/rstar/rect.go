@@ -12,6 +12,13 @@
 // package is determinism-critical and patrolled by dblsh-lint's detorder
 // analyzer.
 //
+// The write path (Insert, BulkLoad) allocates nothing per decision, yet
+// builds exactly the trees of the textbook formulation: ChooseSubtree
+// shortcuts that cannot change the chosen child (see overlapEnlargement),
+// split rectangles read from prefix/suffix sweeps (see sweepRects), and
+// sorts over extracted keys that reproduce sort.Slice's permutation (see
+// keyed). TestTreeShapeGolden pins the shapes bit for bit.
+//
 // dblsh:deterministic
 package rstar
 

@@ -405,6 +405,32 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertBulkLoaded measures the insert a served Add performs: the
+// tree was bulk-loaded (leaves ~full), so nearly every insert overflows a
+// leaf and goes through forced reinsertion or a split. Held-out rows are
+// inserted one per op; when they run out the tree is rebuilt off the clock.
+func BenchmarkInsertBulkLoaded(b *testing.B) {
+	const base, held = 100_000, 20_000
+	data := randomMatrix(base+held, 10, 1)
+	ids := make([]int, base)
+	for i := range ids {
+		ids[i] = i
+	}
+	tr := BulkLoadIDs(data, ids, Options{})
+	next := base
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == base+held {
+			b.StopTimer()
+			tr, next = BulkLoadIDs(data, ids, Options{}), base
+			b.StartTimer()
+		}
+		tr.Insert(next)
+		next++
+	}
+}
+
 func BenchmarkWindow(b *testing.B) {
 	data := randomMatrix(100_000, 10, 1)
 	tr := BulkLoad(data, Options{})

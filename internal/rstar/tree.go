@@ -3,7 +3,7 @@ package rstar
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dblsh/internal/vec"
 )
@@ -120,9 +120,22 @@ type Tree struct {
 	// went stale and must be re-armed (see Cursor.Synced).
 	version uint64
 
-	// reinsertedAtLevel tracks which levels already did a forced reinsert
-	// during the current insertion (R* performs at most one per level).
-	reinsertedAtLevel map[int]bool
+	// reinserted has bit l set once level l did a forced reinsert during
+	// the current insertion (R* performs at most one per level). A tree of
+	// 64 levels would need more than 2^64 entries, so one word suffices.
+	reinserted uint64
+
+	// Write-path scratch, reused across inserts and splits so the
+	// choose-subtree and split paths allocate nothing. The tree is not safe
+	// for concurrent mutation, so one set per tree suffices.
+	enl     Rect             // bestChild's enlarged rectangle
+	center  []float32        // forceReinsert's node centre
+	path    []*node          // descend's root-to-target path
+	sweep   []float32        // split prefix/suffix rectangles (see sweepRects)
+	idTmp   []int32          // leaf id reorder buffer
+	nodeTmp []*node          // internal-node children reorder buffer
+	keys32  []keyed[float32] // axis sort keys
+	keys64  []keyed[float64] // reinsert distance keys
 }
 
 // New creates an empty R*-tree over data's rows. No rows are indexed yet;
@@ -132,10 +145,12 @@ func New(data *vec.Matrix, opts Options) *Tree {
 		panic("rstar: data must have at least one dimension")
 	}
 	return &Tree{
-		data: data,
-		opts: opts.withDefaults(),
-		dim:  data.Dim(),
-		root: &node{leaf: true, rect: emptyRect(data.Dim())},
+		data:   data,
+		opts:   opts.withDefaults(),
+		dim:    data.Dim(),
+		root:   &node{leaf: true, rect: emptyRect(data.Dim())},
+		enl:    emptyRect(data.Dim()),
+		center: make([]float32, data.Dim()),
 	}
 }
 
@@ -165,7 +180,7 @@ func (t *Tree) Insert(id int) {
 	if id < 0 || id >= t.data.Rows() {
 		panic(fmt.Sprintf("rstar: insert id %d out of range [0,%d)", id, t.data.Rows()))
 	}
-	t.reinsertedAtLevel = map[int]bool{}
+	t.reinserted = 0
 	t.insertPoint(int32(id))
 	t.size++
 	t.version++
@@ -179,7 +194,9 @@ func (t *Tree) Version() uint64 { return t.version }
 
 func (t *Tree) insertPoint(id int32) {
 	p := t.point(id)
-	r := PointRect(p)
+	// The degenerate rectangle aliases the data row; nothing below writes
+	// through r (expandPath clones it when it becomes a node's rect).
+	r := Rect{Min: p, Max: p}
 	path := t.descend(r, 0)
 	leafN := path[len(path)-1]
 	wasEmpty := len(leafN.ids) == 0
@@ -230,13 +247,21 @@ func (t *Tree) finalizeLeaf(n *node) {
 		}
 	}
 	n.sortAxis = uint16(axis)
-	sort.Slice(n.ids, func(a, b int) bool {
-		va, vb := t.point(n.ids[a])[axis], t.point(n.ids[b])[axis]
-		if va != vb {
-			return va < vb
+	// (value, id) is a total order on a leaf's distinct ids, so the result
+	// does not depend on the sort algorithm.
+	ks := t.keyBuf32(len(n.ids))
+	for i, id := range n.ids {
+		ks[i] = keyed[float32]{t.point(id)[axis], id}
+	}
+	slices.SortFunc(ks, func(a, b keyed[float32]) int {
+		if c := cmpKey(a, b); c != 0 {
+			return c
 		}
-		return n.ids[a] < n.ids[b]
+		return int(a.idx) - int(b.idx)
 	})
+	for i := range ks {
+		n.ids[i] = ks[i].idx
+	}
 	t.rebuildLeafCoords(n)
 }
 
@@ -347,16 +372,18 @@ func (t *Tree) insertSubtree(sub *node) {
 }
 
 // descend walks from the root to a node at targetLevel, choosing children by
-// the R* ChooseSubtree criteria, and returns the root-to-target path.
+// the R* ChooseSubtree criteria, and returns the root-to-target path. The
+// path lives in t.path and is valid until the next descend: a forced
+// reinsertion is done with its path (tightenPath) before it re-inserts, and
+// nothing reads the path after that.
 func (t *Tree) descend(r Rect, targetLevel int) []*node {
 	n := t.root
-	path := make([]*node, 1, n.level+1)
-	path[0] = n
+	t.path = append(t.path[:0], n)
 	for n.level > targetLevel {
 		n = t.bestChild(n, r)
-		path = append(path, n)
+		t.path = append(t.path, n)
 	}
-	return path
+	return t.path
 }
 
 // expandPath grows the rectangles along an insertion path to include r. When
@@ -382,8 +409,8 @@ func (t *Tree) handleOverflow(path []*node) {
 		if n.entryCount() <= t.opts.MaxEntries {
 			return
 		}
-		if n != t.root && !t.reinsertedAtLevel[n.level] {
-			t.reinsertedAtLevel[n.level] = true
+		if bit := uint64(1) << n.level; n != t.root && t.reinserted&bit == 0 {
+			t.reinserted |= bit
 			t.forceReinsert(n, path[:i+1])
 			return
 		}
@@ -406,20 +433,31 @@ func (t *Tree) handleOverflow(path []*node) {
 // forceReinsert evicts the entries of n farthest from its centre, tightens
 // the rectangles along the path, and re-inserts the evicted entries from the
 // top (R* forced reinsertion).
+//
+// The eviction order sorts precomputed (distance, slot) keys with
+// slices.SortFunc, which runs the same pdqsort as sort.Slice: given the same
+// comparison outcomes it makes the same swaps, so ties land exactly where a
+// comparator over the live entries would put them. The evicted entries stay
+// in the front of n's backing array, which n no longer reaches (n keeps the
+// tail and only ever appends).
 func (t *Tree) forceReinsert(n *node, path []*node) {
 	p := int(float64(t.opts.MaxEntries+1)*reinsertFraction + 0.5)
 	if p < 1 {
 		p = 1
 	}
-	center := n.rect.Center(nil)
+	center := n.rect.Center(t.center)
 	centerRect := Rect{Min: center, Max: center}
+	ks := t.keyBuf64(n.entryCount())
+	byDistDesc := func(a, b keyed[float64]) int { return cmpKey(b, a) }
 
 	if n.leaf {
 		ids := n.ids
-		sort.Slice(ids, func(a, b int) bool {
-			return pointDistSq(center, t.point(ids[a])) > pointDistSq(center, t.point(ids[b]))
-		})
-		evicted := append([]int32(nil), ids[:p]...)
+		for j := range ks {
+			ks[j] = keyed[float64]{pointDistSq(center, n.entry(j, t.dim)), int32(j)}
+		}
+		slices.SortFunc(ks, byDistDesc)
+		permute(ids, ks, &t.idTmp)
+		evicted := ids[:p:p]
 		n.ids = ids[p:]
 		t.recomputeLeafRect(n)
 		t.finalizeLeaf(n)
@@ -432,10 +470,12 @@ func (t *Tree) forceReinsert(n *node, path []*node) {
 	}
 
 	children := n.children
-	sort.Slice(children, func(a, b int) bool {
-		return children[a].rect.CenterDistSq(centerRect) > children[b].rect.CenterDistSq(centerRect)
-	})
-	evicted := append([]*node(nil), children[:p]...)
+	for j, c := range children {
+		ks[j] = keyed[float64]{c.rect.CenterDistSq(centerRect), int32(j)}
+	}
+	slices.SortFunc(ks, byDistDesc)
+	permute(children, ks, &t.nodeTmp)
+	evicted := children[:p:p]
 	n.children = children[p:]
 	recomputeRect(n)
 	tightenPath(path)
@@ -452,22 +492,36 @@ func tightenPath(path []*node) {
 	}
 }
 
+// recomputeRect tightens an internal node's rectangle over its children,
+// reusing the node's own rectangle storage (no other node shares it).
 func recomputeRect(n *node) {
 	if n.leaf || len(n.children) == 0 {
 		return
 	}
-	n.rect = n.children[0].rect.clone()
+	first := n.children[0].rect
+	if len(n.rect.Min) != len(first.Min) {
+		n.rect = first.clone()
+	} else {
+		copy(n.rect.Min, first.Min)
+		copy(n.rect.Max, first.Max)
+	}
 	for _, c := range n.children[1:] {
 		n.rect.ExpandInPlace(c.rect)
 	}
 }
 
 func (t *Tree) recomputeLeafRect(n *node) {
-	if len(n.ids) == 0 {
+	if len(n.rect.Min) != t.dim {
 		n.rect = emptyRect(t.dim)
+	}
+	if len(n.ids) == 0 {
+		clear(n.rect.Min)
+		clear(n.rect.Max)
 		return
 	}
-	n.rect = PointRect(t.point(n.ids[0]))
+	p := t.point(n.ids[0])
+	copy(n.rect.Min, p)
+	copy(n.rect.Max, p)
 	for _, id := range n.ids[1:] {
 		n.rect.ExpandPoint(t.point(id))
 	}
@@ -476,6 +530,11 @@ func (t *Tree) recomputeLeafRect(n *node) {
 // bestChild picks the child of n to descend into when inserting rect r.
 // For nodes whose children are leaves, R* minimizes overlap enlargement;
 // higher up it minimizes area enlargement. Ties break by smaller area.
+//
+// The enlarged rectangle of each child goes into t.enl, and the overlap
+// sums are abandoned once they exceed the best so far (see
+// overlapEnlargement), so the choice is made without allocating and is the
+// one the full sums would make.
 func (t *Tree) bestChild(n *node, r Rect) *node {
 	children := n.children
 	if len(children) == 0 {
@@ -483,16 +542,16 @@ func (t *Tree) bestChild(n *node, r Rect) *node {
 	}
 	if children[0].leaf {
 		best := children[0]
-		bestOverlap := overlapEnlargement(children, 0, r)
-		bestEnl := children[0].rect.EnlargementArea(r)
+		bestOverlap := t.overlapEnlargement(children, 0, r, math.Inf(1))
+		bestEnl := t.enlargementArea(children[0].rect, r)
 		bestArea := children[0].rect.Area()
 		for i := 1; i < len(children); i++ {
 			c := children[i]
-			ov := overlapEnlargement(children, i, r)
+			ov := t.overlapEnlargement(children, i, r, bestOverlap)
 			if ov > bestOverlap {
 				continue
 			}
-			enl := c.rect.EnlargementArea(r)
+			enl := t.enlargementArea(c.rect, r)
 			area := c.rect.Area()
 			if ov < bestOverlap ||
 				(enl < bestEnl) ||
@@ -503,11 +562,11 @@ func (t *Tree) bestChild(n *node, r Rect) *node {
 		return best
 	}
 	best := children[0]
-	bestEnl := children[0].rect.EnlargementArea(r)
+	bestEnl := t.enlargementArea(children[0].rect, r)
 	bestArea := children[0].rect.Area()
 	for i := 1; i < len(children); i++ {
 		c := children[i]
-		enl := c.rect.EnlargementArea(r)
+		enl := t.enlargementArea(c.rect, r)
 		area := c.rect.Area()
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = c, enl, area
@@ -516,18 +575,110 @@ func (t *Tree) bestChild(n *node, r Rect) *node {
 	return best
 }
 
+// enlarge writes the smallest rectangle covering a and r into t.enl — the
+// values Rect.Enlarged computes, without allocating.
+func (t *Tree) enlarge(a, r Rect) {
+	for i := range a.Min {
+		t.enl.Min[i] = a.Min[i]
+		if r.Min[i] < t.enl.Min[i] {
+			t.enl.Min[i] = r.Min[i]
+		}
+		t.enl.Max[i] = a.Max[i]
+		if r.Max[i] > t.enl.Max[i] {
+			t.enl.Max[i] = r.Max[i]
+		}
+	}
+}
+
+// enlargementArea is a.EnlargementArea(r) computed in t.enl.
+func (t *Tree) enlargementArea(a, r Rect) float64 {
+	t.enlarge(a, r)
+	return t.enl.Area() - a.Area()
+}
+
 // overlapEnlargement computes how much the overlap between children[i] and
-// its siblings grows if children[i] is enlarged to cover r.
-func overlapEnlargement(children []*node, i int, r Rect) float64 {
-	enlarged := children[i].rect.Enlarged(r)
+// its siblings grows if children[i] is enlarged to cover r. Once the running
+// sum exceeds limit it returns early with a value that is still above limit.
+//
+// Three shortcuts keep the result exact (for finite areas):
+//   - A child that already contains r is not enlarged, so every term is
+//     x − x = 0 and the sum is 0.
+//   - A sibling the enlarged rectangle does not overlap contributes 0 − 0:
+//     the child is inside its enlargement, so it does not overlap it either.
+//   - Every term is ≥ 0 (the enlargement contains the child, so its overlap
+//     with any sibling is no smaller, factor by factor), and round-to-nearest
+//     addition of a non-negative term never decreases the sum. A sum above
+//     limit therefore stays above it, and abandoning it cannot change which
+//     side of limit the full sum falls on. Sums at or below limit run to the
+//     end and are bit-identical to the full sum.
+func (t *Tree) overlapEnlargement(children []*node, i int, r Rect, limit float64) float64 {
+	ci := children[i].rect
+	if ci.ContainsRect(r) {
+		return 0
+	}
+	t.enlarge(ci, r)
 	var delta float64
 	for j, c := range children {
 		if j == i {
 			continue
 		}
-		delta += enlarged.OverlapArea(c.rect) - children[i].rect.OverlapArea(c.rect)
+		grown := t.enl.OverlapArea(c.rect)
+		if grown == 0 {
+			continue
+		}
+		delta += grown - ci.OverlapArea(c.rect)
+		if delta > limit {
+			return delta
+		}
 	}
 	return delta
+}
+
+// keyed pairs a sort key with the index (or id) of the entry it was read
+// from, so a sort reads each key once instead of on every comparison.
+// slices.SortFunc over keyed pairs and sort.Slice over the entries run the
+// same pdqsort template; fed the same comparison outcomes they make the
+// same swaps, so they produce the same permutation, ties included.
+type keyed[K float32 | float64] struct {
+	key K
+	idx int32
+}
+
+// cmpKey orders by key alone; cmpKey(a, b) < 0 exactly when a.key < b.key,
+// the only question pdqsort asks.
+func cmpKey[K float32 | float64](a, b keyed[K]) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case b.key < a.key:
+		return 1
+	}
+	return 0
+}
+
+func (t *Tree) keyBuf32(n int) []keyed[float32] {
+	if cap(t.keys32) < n {
+		t.keys32 = make([]keyed[float32], n)
+	}
+	return t.keys32[:n]
+}
+
+func (t *Tree) keyBuf64(n int) []keyed[float64] {
+	if cap(t.keys64) < n {
+		t.keys64 = make([]keyed[float64], n)
+	}
+	return t.keys64[:n]
+}
+
+// permute reorders s so that s[k] becomes the old s[ks[k].idx], using *tmp
+// as scratch.
+func permute[T any, K float32 | float64](s []T, ks []keyed[K], tmp *[]T) {
+	old := append((*tmp)[:0], s...)
+	for k := range ks {
+		s[k] = old[ks[k].idx]
+	}
+	clear(old) // drop the node pointers the scratch would otherwise pin
+	*tmp = old[:0]
 }
 
 func pointDistSq(a, b []float32) float64 {

@@ -288,7 +288,7 @@ func FuzzParallelLadderEquivalence(f *testing.F) {
 	f.Add(int64(99), uint16(333), uint8(4), uint8(7), uint8(0), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, rawN uint16, rawShards, rawK, rawT, delEvery uint8) {
 		n := 60 + int(rawN)%500
-		shards := 2 + int(rawShards)%7 // ≥ 2: single-shard bypasses the coordinator
+		shards := 2 + int(rawShards)%7 // ≥ 2: at one shard Parallelism: shards is 1, so both sides would run runRound
 		k := 1 + int(rawK)%20
 		tb := int(rawT) % 30 // 0 inherits the build-time budget
 		const d = 6

@@ -112,6 +112,11 @@ type Set struct {
 	// in atomically so SetMetrics is safe while background auto-compaction
 	// is already running.
 	metrics atomic.Pointer[Metrics]
+
+	// afterSnapshot, when set, runs in compactState between the snapshot
+	// and the rebuild, with no locks held: the window where mutations race
+	// the compaction. Tests set it before any compaction starts.
+	afterSnapshot func()
 }
 
 // Metrics reports the set's compaction activity. Fields are optional (obs
@@ -568,8 +573,16 @@ func (s *Set) maybeAutoCompact(st *state, size, dead int) {
 		return // one compaction of this shard at a time
 	}
 	go func() {
-		defer st.compacting.Store(false)
 		s.compactState(st)
+		st.compacting.Store(false)
+		// Deletes that raced the rebuild were replayed onto the fresh index
+		// as tombstones, and their own threshold checks lost the
+		// single-flight race above. Re-check now, or those tombstones would
+		// wait for the next Delete.
+		st.mu.RLock()
+		size, dead := st.idx.Size(), st.idx.Deleted()
+		st.mu.RUnlock()
+		s.maybeAutoCompact(st, size, dead)
 	}()
 }
 
@@ -612,6 +625,9 @@ func (s *Set) compactState(st *state) int {
 	}
 	snapSize := old.Size()
 	st.mu.RUnlock()
+	if s.afterSnapshot != nil {
+		s.afterSnapshot()
+	}
 
 	// Rebuild with no locks held; the shard serves reads and writes
 	// throughout. compactMu keeps concurrent compactions of this shard

@@ -351,6 +351,47 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestAutoCompactionRechecksAfterRacingDeletes lays tombstones between a
+// background compaction's snapshot and its swap. The swap replays them onto
+// the fresh index, leaving the shard over the threshold again; the shard
+// must compact once more on its own, with no further Delete to trigger it.
+func TestAutoCompactionRechecksAfterRacingDeletes(t *testing.T) {
+	const n, d, S = 1200, 8, 2
+	flat, _ := corpus(n, d, 73)
+	s := Build(flat, n, d, S, 0.4, core.Config{K: 4, L: 2, T: 20, Seed: 73})
+	var once sync.Once
+	s.afterSnapshot = func() {
+		once.Do(func() {
+			// Half of shard 0's 300 survivors: 50% dead after the swap.
+			for g := 2; g < n; g += 8 {
+				if !s.Delete(g) {
+					t.Errorf("racing Delete(%d) failed", g)
+				}
+			}
+		})
+	}
+	// Hold the compaction back until the whole first batch is in, so its
+	// snapshot sees all 300 tombstones and only the hook's deletes race it.
+	st := s.shards[0]
+	st.compactMu.Lock()
+	for g := 0; g < n; g += 4 {
+		s.Delete(g)
+	}
+	st.compactMu.Unlock()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Deleted() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("tombstones that raced the compaction were never reclaimed; %d left, infos %+v",
+				s.Deleted(), s.Infos())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := s.Infos()[0]; got.Compactions < 2 || got.Size != 150 {
+		t.Fatalf("shard 0 after racing deletes: %+v, want ≥ 2 compactions and 150 rows", got)
+	}
+}
+
 func TestSnapshotCoversAllShards(t *testing.T) {
 	const n, d, S = 600, 8, 3
 	s, _, _ := buildSet(n, d, S, 81)

@@ -96,6 +96,9 @@ func (idx *Index) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dblsh_wal_replay_records",
 		"Log records re-applied on top of the checkpoint by this process's Open.",
 		func() float64 { return float64(d.replayRecords) })
+	reg.GaugeFunc("dblsh_wal_replay_seconds",
+		"Wall time of this process's Open replay: L R*-tree inserts per Add record.",
+		func() float64 { return d.replaySeconds })
 	reg.GaugeFunc("dblsh_wal_replay_torn_segments",
 		"Replayed segments whose torn tail (crash mid-append) was dropped at Open.",
 		func() float64 { return float64(d.replayTorn) })

@@ -17,7 +17,9 @@
 # variants), the sequential-vs-parallel sharded search matrix
 # (BenchmarkSearchSharded's shards × {seq,par} grid), the traversal-only
 # allocation benchmark, and the cursor-vs-rescan ladder head-to-head (the
-# re-scan side is internal/core's test-only oracle). The
+# re-scan side is internal/core's test-only oracle), plus the R*-tree write
+# path: STR bulk load of 100k points and the insert a served Add performs
+# (into a bulk-loaded tree, so nearly every insert forces a reinsert). The
 # loadgen half builds dblsh-server and dblsh-loadgen, starts a durable
 # 8-shard server on a temp data dir, and drives it closed-loop — so the
 # recorded numbers include HTTP, admission and WAL overhead, not just the
@@ -66,6 +68,7 @@ run() { go test -run '^$' -bench "$1" -benchmem -count "$COUNT" "$2" | tee -a "$
 run 'BenchmarkTable4QueryDBLSH$|BenchmarkSearchSharded|BenchmarkLadderAllocs$' .
 run 'BenchmarkDistKernels|BenchmarkQuantKernels' ./internal/vec
 run 'BenchmarkLadderModes' ./internal/core
+run 'BenchmarkInsertBulkLoaded$|BenchmarkBulkLoad100k$' ./internal/rstar
 
 awk '
 /^Benchmark/ {
